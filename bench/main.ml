@@ -295,6 +295,7 @@ let time_benchmarks ctx =
   let model = ctx.Experiments.flow.Flow.macromodel in
   let variation = ctx.Experiments.config.Config.variation in
   let mc_rng = Rng.create 5 in
+  let session = Tb.session params in
   let mat =
     Mat.init 12 12 (fun i j -> if i = j then 25. else sin (float_of_int ((7 * i) + j)))
   in
@@ -305,7 +306,7 @@ let time_benchmarks ctx =
         (Staged.stage (fun () -> ignore (Tb.evaluate params)));
       Test.make ~name:"transistor MC sample (perturb+DC+AC)"
         (Staged.stage (fun () ->
-             ignore (Tb.evaluate_sampled ~spec:variation ~rng:mc_rng params)));
+             ignore (Tb.evaluate_in_session session ~spec:variation ~rng:mc_rng)));
       Test.make ~name:"behavioural-model query (tables only)"
         (Staged.stage (fun () ->
              ignore
@@ -453,6 +454,7 @@ let ablation_variation_scaling ctx =
   match nominal with
   | None -> print_endline "nominal evaluation failed"
   | Some nom ->
+      let session = Tb.session ~conditions params in
       let samples =
         match Config.scale_name ctx.Experiments.config with
         | "paper-scale" -> 200
@@ -464,7 +466,7 @@ let ablation_variation_scaling ctx =
           let rng = Rng.create 13 in
           let results =
             Yield_process.Montecarlo.run ~samples ~rng (fun r ->
-                Tb.evaluate_sampled ~conditions ~spec ~rng:r params)
+                Tb.evaluate_in_session session ~spec ~rng:r)
           in
           let gains = Array.map (fun r -> r.Tb.gain_db) results in
           let pms = Array.map (fun r -> r.Tb.phase_margin_deg) results in
@@ -542,6 +544,8 @@ let ablation_lhs ctx =
   match Tb.evaluate ~conditions params with
   | None -> print_endline "nominal evaluation failed"
   | Some nominal ->
+      let session = Tb.session ~conditions params in
+      let circuit = Tb.session_circuit session in
       let n = 24 in
       let repeats = match Config.scale_name ctx.Experiments.config with
         | "paper-scale" -> 12
@@ -551,7 +555,7 @@ let ablation_lhs ctx =
         let rng = Rng.create seed in
         let rs =
           Yield_process.Montecarlo.run ~samples:n ~rng (fun r ->
-              Tb.evaluate_sampled ~conditions ~spec ~rng:r params)
+              Tb.evaluate_in_session session ~spec ~rng:r)
         in
         let gains = Array.map (fun r -> r.Tb.gain_db) rs in
         Yield_process.Montecarlo.spread_pct gains ~nominal:nominal.Tb.gain_db
@@ -565,12 +569,11 @@ let ablation_lhs ctx =
           Array.to_list normals
           |> List.filter_map (fun z ->
                  let draw = Variation.global_draw_of_normals spec z in
-                 let circuit, _ = Tb.build ~conditions params in
-                 let perturbed =
-                   Variation.perturb_circuit_with_draw spec draw
-                     (Rng.split rng) circuit
+                 let models =
+                   Variation.overrides_with_draw spec draw (Rng.split rng)
+                     circuit
                  in
-                 match Tb.bode_of_circuit ~conditions perturbed with
+                 match Tb.bode_in_session session models with
                  | None -> None
                  | Some b ->
                      Option.map
@@ -626,9 +629,10 @@ let ablation_corners_vs_mc ctx =
         | _ -> 40
       in
       let rng = Rng.create 37 in
+      let session = Tb.session ~conditions params in
       let rs =
         Yield_process.Montecarlo.run ~samples ~rng (fun r ->
-            Tb.evaluate_sampled ~conditions ~spec ~rng:r params)
+            Tb.evaluate_in_session session ~spec ~rng:r)
       in
       let gains = Array.map (fun r -> r.Tb.gain_db) rs in
       let mc_pct =
@@ -729,20 +733,20 @@ let ablation_three_objectives ctx =
     match Yield_spice.Dcop.solve circuit with
     | Error _ -> None
     | Ok op -> begin
-        match Tb.bode_of_circuit ~conditions circuit with
-        | None -> None
-        | Some b -> begin
-            match Tb.perf_of_bode conditions b with
-            | Some p when Tb.feasible conditions p ->
-                let supply_a =
-                  Float.abs (Yield_spice.Dcop.branch_current op "VDD")
-                in
-                let power_mw =
-                  conditions.Tb.tech.Yield_process.Tech.vdd *. supply_a *. 1e3
-                in
-                Some [| p.Tb.gain_db; p.Tb.phase_margin_deg; -.power_mw |]
-            | Some _ | None -> None
-          end
+        let b =
+          Yield_spice.Ac.transfer_by_name circuit op ~out:"out"
+            ~freqs:(Yield_circuits.Testbench.freqs_of conditions)
+        in
+        match Tb.perf_of_bode conditions b with
+        | Some p when Tb.feasible conditions p ->
+            let supply_a =
+              Float.abs (Yield_spice.Dcop.branch_current op "VDD")
+            in
+            let power_mw =
+              conditions.Tb.tech.Yield_process.Tech.vdd *. supply_a *. 1e3
+            in
+            Some [| p.Tb.gain_db; p.Tb.phase_margin_deg; -.power_mw |]
+        | Some _ | None -> None
       end
   in
   let pop, gens =
@@ -824,10 +828,11 @@ let generalisation_miller ctx =
       (fun i ->
         let e = result.Wbga.front.(i) in
         let params = Miller.params_of_array e.Wbga.params in
+        let session = Mtb.session ~conditions params in
         let rs =
           Yield_process.Montecarlo.run ~samples ~rng (fun r ->
-              Mtb.evaluate_sampled ~conditions
-                ~spec:ctx.Experiments.config.Config.variation ~rng:r params)
+              Mtb.evaluate_in_session session
+                ~spec:ctx.Experiments.config.Config.variation ~rng:r)
         in
         if Array.length rs > 4 then begin
           let gains = Array.map (fun r -> r.Gtb.gain_db) rs in

@@ -374,10 +374,13 @@ let corners_cmd =
 
 let mc params samples seed min_gain min_pm =
   let rng = Rng.create seed in
+  (* one session shared across the pool: it is immutable, each sample only
+     patches device models *)
+  let session = Tb.session params in
   let outcome =
     Yield_exec.Pool.with_pool ~jobs:(Yield_exec.Jobs.resolve ()) (fun pool ->
         Montecarlo.run_pool_counted ~pool ~samples ~rng (fun r ->
-            Tb.evaluate_sampled ~spec:Variation.default_spec ~rng:r params))
+            Tb.evaluate_in_session session ~spec:Variation.default_spec ~rng:r))
   in
   let results = outcome.Montecarlo.results in
   if Array.length results = 0 then begin

@@ -74,8 +74,8 @@ let () =
   let rng = Rng.create 99 in
   let results =
     Montecarlo.run ~samples:100 ~rng (fun r ->
-        let perturbed = Variation.perturb_circuit Variation.default_spec r circuit in
-        match Filter.response_of_circuit perturbed ~out with
+        let models = Variation.overrides Variation.default_spec r circuit in
+        match Filter.response_of_circuit ~models circuit ~out with
         | None -> None
         | Some b -> Some (Filter.check spec b))
   in

@@ -23,7 +23,7 @@
       state present without [--resume] (info: it will be discarded)
     - [C007] solver name not known to
       {!Yield_numeric.Linsys.backend_of_string} (error), or [csr] requested
-      on a system smaller than {!csr_min_size} unknowns (warning: symbolic
+      on a system smaller than 8 unknowns (warning: symbolic
       overhead dominates, dense is faster)
     - [F001] (error) unparseable [--fault-spec]
     - [F002] (error) fault-spec names an unknown injection point — the
@@ -50,10 +50,6 @@ val min_valid_mc_samples : int
 (** The flow's degradation threshold (8): a front point whose Monte Carlo
     batch keeps fewer valid samples is skipped.  [Flow] reads it from here
     so the linter and the runtime can never disagree. *)
-
-val csr_min_size : int
-(** Below this many unknowns the csr backend's per-topology symbolic
-    analysis outweighs any per-sample gain; C007 warns. *)
 
 val check : ?checkpoint_dir:string -> ?resume:bool -> view -> Diagnostic.t list
 

@@ -29,6 +29,7 @@ module I = Interval
 module Vec = Yield_numeric.Vec
 module Mat = Yield_numeric.Mat
 module Lu = Yield_numeric.Lu
+module Linsys = Yield_numeric.Linsys
 module Cmat = Yield_numeric.Cmat
 module Circuit = Yield_spice.Circuit
 module Device = Yield_spice.Device
@@ -44,11 +45,6 @@ module Variation = Yield_process.Variation
 type window = { min_gain_db : float; min_pm_deg : float }
 
 type verdict = Provably_fail | Provably_pass | Undecided
-
-let verdict_to_string = function
-  | Provably_fail -> "provably-fail"
-  | Provably_pass -> "provably-pass"
-  | Undecided -> "undecided"
 
 type enclosure = {
   gain_db : I.t option;
@@ -101,27 +97,15 @@ let ci_mul a b =
 
 (* ---------- interval EKV (mirrors Mosfet.eval bit-for-bit at endpoints) ---------- *)
 
-(* local mirrors of Mosfet's private helpers; the monotone interval images
-   below evaluate exactly these floats at the endpoints *)
-let softplus x = if x > 40. then x else if x < -40. then exp x else log (1. +. exp x)
+(* Mosfet's own scalar kernels evaluated at the interval endpoints.  All
+   maps below are monotone non-decreasing; 8 ulps covers two chained libm
+   calls plus the inner divisions/multiplications *)
+let i_sigmoid = I.monotone_incr ~ulps:8 Mosfet.sigmoid
 
-let sigmoid x =
-  if x > 40. then 1. else if x < -40. then exp x else 1. /. (1. +. exp (-.x))
-
-let ekv_f x =
-  let s = softplus (x /. 2.) in
-  s *. s
-
-let ekv_f' x = softplus (x /. 2.) *. sigmoid (x /. 2.)
-
-(* all maps below are monotone non-decreasing; 8 ulps covers two chained
-   libm calls plus the inner divisions/multiplications *)
-let i_sigmoid = I.monotone_incr ~ulps:8 sigmoid
-
-let i_ekv_f = I.monotone_incr ~ulps:8 ekv_f
+let i_ekv_f = I.monotone_incr ~ulps:8 Mosfet.ekv_f
 
 (* F' is a product of two positive non-decreasing factors, so monotone too *)
-let i_ekv_f' = I.monotone_incr ~ulps:8 ekv_f'
+let i_ekv_f' = I.monotone_incr ~ulps:8 Mosfet.ekv_f'
 
 let i_sqrt = I.monotone_incr ~ulps:2 sqrt
 
@@ -604,13 +588,26 @@ let axis_data ~k ~spec ~slice ~moses ~x =
    x0 + S dp + K(U) encloses them all. *)
 let krawczyk circuit layout ~lin ~moses ~k ~spec ~slice ~x0 =
   let n = Mna.size layout in
-  let gmat, _ = Mna.assemble_dc circuit layout ~x:x0 ~source_scale:1. ~gmin:1e-12 in
-  let lu = Lu.factor gmat in
+  (* Y = J(x0)^-1 column by column through a dense workspace: the same
+     Lu.factor / Lu.solve on the same assembled Jacobian.  Its stamps are
+     also teed into [gmat], the J0 that E0 below needs entrywise *)
+  let gmat = Mat.create n n in
+  let dense = Linsys.real (Linsys.dense_of_size n) in
+  let ws =
+    {
+      dense with
+      Linsys.add =
+        (fun i j v ->
+          dense.Linsys.add i j v;
+          Mat.add_to gmat i j v);
+    }
+  in
+  ignore (Mna.assemble_dc ws circuit layout ~x:x0 ~source_scale:1. ~gmin:1e-12);
   let ycols =
     Array.init n (fun j ->
         let e = Vec.create n in
         e.(j) <- 1.;
-        Lu.solve lu e)
+        ws.Linsys.solve e)
   in
   let yv i j = ycols.(j).(i) in
   let yat i node = if node = Device.ground then 0. else yv i (node - 1) in

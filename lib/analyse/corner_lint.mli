@@ -36,8 +36,6 @@ type window = {
 
 type verdict = Provably_fail | Provably_pass | Undecided
 
-val verdict_to_string : verdict -> string
-
 type enclosure = {
   gain_db : Interval.t option;  (** DC gain enclosure, dB *)
   unity_gain_hz : Interval.t option;  (** bracket of the 0 dB crossing *)

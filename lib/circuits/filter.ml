@@ -23,8 +23,6 @@ let caps_of_array = function
   | [| c1; c2; c3 |] -> { c1; c2; c3 }
   | _ -> invalid_arg "Filter.caps_of_array: need 3 values"
 
-let caps_to_array c = [| c.c1; c.c2; c.c3 |]
-
 type spec = {
   f_pass : float;
   ripple_db : float;
@@ -59,9 +57,9 @@ let build amp caps =
 
 let default_freqs = lazy (Ac.default_freqs ~per_decade:20 ~f_lo:1e3 ~f_hi:1e8 ())
 
-let response_of_circuit ?freqs circuit ~out =
+let response_of_circuit ?freqs ?models circuit ~out =
   let freqs = match freqs with Some f -> f | None -> Lazy.force default_freqs in
-  match Dcop.solve circuit with
+  match Dcop.solve ?models circuit with
   | Error _ -> None
   | Ok op -> Some (Ac.transfer_by_name circuit op ~out ~freqs)
 

@@ -29,14 +29,6 @@ val gm_of_amp : amp -> float
 
 type caps = { c1 : float; c2 : float; c3 : float }
 
-val cap_ranges : Yield_ga.Genome.range array
-(** Designer constraints for the optimisation: C1 in [5 pF, 400 pF],
-    C2 in [2 pF, 200 pF], C3 in [0.1 pF, 20 pF]. *)
-
-val caps_of_array : float array -> caps
-
-val caps_to_array : caps -> float array
-
 type spec = {
   f_pass : float;  (** passband edge, Hz *)
   ripple_db : float;  (** max deviation from DC gain within the passband *)
@@ -62,10 +54,11 @@ val build_transistor :
     the verification path of Figure 11. *)
 
 val response_of_circuit :
-  ?freqs:float array -> Yield_spice.Circuit.t -> out:string ->
-  Yield_spice.Ac.bode option
-(** AC response of an already-built (possibly Monte Carlo-perturbed) filter
-    circuit. *)
+  ?freqs:float array -> ?models:Yield_spice.Mna.models ->
+  Yield_spice.Circuit.t -> out:string -> Yield_spice.Ac.bode option
+(** AC response of an already-built filter circuit; [models] patches its
+    MOSFET models with one Monte Carlo sample
+    ({!Yield_process.Variation.overrides}). *)
 
 val response_transistor :
   ?freqs:float array -> ?tech:Yield_process.Tech.t -> ?vcm:float ->
@@ -96,5 +89,7 @@ val optimise :
   ?population:int -> ?generations:int ->
   amp -> spec -> Yield_stats.Rng.t -> optimise_result
 (** The paper's §5 MOO (default 30 individuals, 40 generations): maximise
-    passband and stopband margins; [best] maximises the smaller of the two
-    margins.  @raise Failure if no evaluable design was found. *)
+    passband and stopband margins over the designer's capacitor ranges
+    (C1 in [5 pF, 400 pF], C2 in [2 pF, 200 pF], C3 in [0.1 pF, 20 pF]);
+    [best] maximises the smaller of the two margins.
+    @raise Failure if no evaluable design was found. *)

@@ -7,7 +7,8 @@
     - M5/M8: tail / bias mirror fed by the reference current;
     - M6: PMOS common-source second stage;
     - M7: NMOS output current sink (mirrored from M8);
-    - Cc + Rz: Miller compensation with a nulling resistor (fixed values).
+    - Cc + Rz: Miller compensation with a nulling resistor (fixed at 4 pF
+      and 800 Ohm).
 
     Designable parameters, following the Table 1 style (W in [10, 60] um,
     L in [0.35, 4] um): (w1,l1) = M3/M4, (w2,l2) = M6, (w3,l3) = M7,
@@ -36,12 +37,6 @@ val params_of_array : float array -> params
 val params_to_array : params -> float array
 
 val default_params : params
-
-val compensation_cap : float
-(** Fixed Miller capacitor (4 pF). *)
-
-val nulling_resistor : float
-(** Fixed zero-nulling resistor (800 Ohm). *)
 
 val bias_current : float
 (** Reference current into the M8 diode (20 uA). *)

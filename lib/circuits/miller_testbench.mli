@@ -6,10 +6,6 @@ val build :
   ?conditions:Testbench.conditions -> Miller.params ->
   Yield_spice.Circuit.t * string
 
-val bode_of_circuit :
-  ?conditions:Testbench.conditions -> Yield_spice.Circuit.t ->
-  Yield_spice.Ac.bode option
-
 val bode :
   ?conditions:Testbench.conditions -> Miller.params ->
   Yield_spice.Ac.bode option
@@ -17,9 +13,19 @@ val bode :
 val evaluate :
   ?conditions:Testbench.conditions -> Miller.params -> Testbench.perf option
 
-val evaluate_sampled :
-  ?conditions:Testbench.conditions -> spec:Yield_process.Variation.spec ->
-  rng:Yield_stats.Rng.t -> Miller.params -> Testbench.perf option
+type session
+
+val session : ?conditions:Testbench.conditions ->
+  ?solver:Yield_numeric.Linsys.backend -> Miller.params -> session
+
+val session_circuit : session -> Yield_spice.Circuit.t
+
+val bode_in_session :
+  session -> Yield_spice.Mna.models -> Yield_spice.Ac.bode option
+
+val evaluate_in_session :
+  session -> spec:Yield_process.Variation.spec -> rng:Yield_stats.Rng.t ->
+  Testbench.perf option
 
 val evaluate_with_draw :
   ?conditions:Testbench.conditions -> spec:Yield_process.Variation.spec ->

@@ -37,11 +37,6 @@ val build :
 val bode : ?conditions:conditions -> Ota.params -> Yield_spice.Ac.bode option
 (** Full open-loop transfer function; [None] if the DC solve fails. *)
 
-val bode_of_circuit :
-  ?conditions:conditions -> Yield_spice.Circuit.t -> Yield_spice.Ac.bode option
-(** Run the sweep on an externally perturbed copy of the testbench (the
-    Monte Carlo path). *)
-
 val perf_of_bode : conditions -> Yield_spice.Ac.bode -> perf option
 (** [None] when the response has no unity crossing. *)
 
@@ -49,14 +44,25 @@ val evaluate : ?conditions:conditions -> Ota.params -> perf option
 (** DC + AC + extraction in one call; [None] on any failure.  This is the
     objective function handed to the optimiser. *)
 
-val evaluate_sampled :
-  ?conditions:conditions ->
-  spec:Yield_process.Variation.spec ->
-  rng:Yield_stats.Rng.t ->
-  Ota.params ->
+type session
+(** The testbench built once for one sizing, with its cached solver
+    session; see {!Testbench.Make.session}. *)
+
+val session : ?conditions:conditions ->
+  ?solver:Yield_numeric.Linsys.backend -> Ota.params -> session
+
+val session_circuit : session -> Yield_spice.Circuit.t
+
+val bode_in_session :
+  session -> Yield_spice.Mna.models -> Yield_spice.Ac.bode option
+(** DC + AC sweep with the MOSFET models patched by one Monte Carlo
+    sample's override array — the sampled-evaluation primitive. *)
+
+val evaluate_in_session :
+  session -> spec:Yield_process.Variation.spec -> rng:Yield_stats.Rng.t ->
   perf option
 (** Like {!evaluate} but with one Monte Carlo draw of process variation and
-    mismatch applied to every transistor. *)
+    mismatch applied to every transistor, patched into the session. *)
 
 val evaluate_with_draw :
   ?conditions:conditions ->

@@ -109,25 +109,15 @@ module Make (A : Amplifier.S) = struct
   let build ?(conditions = default_conditions) params =
     (build_variant conditions params Differential, "out")
 
-  let bode_of_circuit ?(conditions = default_conditions) circuit =
+  let bode ?(conditions = default_conditions) params =
+    let circuit, _ = build ~conditions params in
     match Dcop.solve_with_retry circuit with
     | Error _ -> None
     | Ok op ->
         Some (Ac.transfer_by_name circuit op ~out:"out" ~freqs:(freqs_of conditions))
 
-  let bode ?(conditions = default_conditions) params =
-    let circuit, _ = build ~conditions params in
-    bode_of_circuit ~conditions circuit
-
   let evaluate ?(conditions = default_conditions) params =
     match bode ~conditions params with
-    | None -> None
-    | Some b -> perf_of_bode conditions b
-
-  let evaluate_sampled ?(conditions = default_conditions) ~spec ~rng params =
-    let circuit, _ = build ~conditions params in
-    let perturbed = Variation.perturb_circuit spec rng circuit in
-    match bode_of_circuit ~conditions perturbed with
     | None -> None
     | Some b -> perf_of_bode conditions b
 
@@ -175,30 +165,29 @@ module Make (A : Amplifier.S) = struct
 
   let session_solver_name s = Mna.sys_solver_name s.s_sys
 
-  let evaluate_in_session s ~spec ~rng =
-    let models = Variation.overrides spec rng s.s_circuit in
+  let bode_in_session s models =
     match Dcop.solve_with_retry ~sys:s.s_sys ~models s.s_circuit with
     | Error _ -> None
     | Ok op ->
-        let b =
-          Ac.transfer_by_name ~sys:s.s_sys s.s_circuit op ~out:"out"
-            ~freqs:(freqs_of s.s_conditions)
-        in
-        perf_of_bode s.s_conditions b
+        Some
+          (Ac.transfer_by_name ~sys:s.s_sys s.s_circuit op ~out:"out"
+             ~freqs:(freqs_of s.s_conditions))
 
-  let evaluate_with_draw ?(conditions = default_conditions) ~spec ~draw params =
-    let circuit, _ = build ~conditions params in
+  let perf_in_session s models =
+    Option.bind (bode_in_session s models) (perf_of_bode s.s_conditions)
+
+  let evaluate_in_session s ~spec ~rng =
+    perf_in_session s (Variation.overrides spec rng s.s_circuit)
+
+  let evaluate_with_draw ?conditions ~spec ~draw params =
+    let s = session ?conditions params in
     let no_mismatch =
       { spec with Variation.mismatch = Variation.zero_spec.Variation.mismatch }
     in
     (* the rng is only consulted for mismatch, which is zeroed *)
     let rng = Yield_stats.Rng.create 0 in
-    let perturbed =
-      Variation.perturb_circuit_with_draw no_mismatch draw rng circuit
-    in
-    match bode_of_circuit ~conditions perturbed with
-    | None -> None
-    | Some b -> perf_of_bode conditions b
+    perf_in_session s
+      (Variation.overrides_with_draw no_mismatch draw rng s.s_circuit)
 
   let low_freq_gain_db conditions circuit =
     match Dcop.solve_with_retry circuit with

@@ -4,7 +4,11 @@
     topology-independent; {!Make} instantiates the testbenches (open-loop AC,
     common-mode/supply variants, unity-gain follower transient, noise) for
     any {!Amplifier.S}.  {!Ota_testbench} is [Make (Ota)] plus the paper's
-    defaults; {!Miller_testbench} is [Make (Miller)]. *)
+    defaults; {!Miller_testbench} is [Make (Miller)].
+
+    Process-varied evaluation has one path: build a {!Make.session} once
+    per sizing and patch each Monte Carlo sample's device models into it
+    ({!Make.bode_in_session}). *)
 
 type conditions = {
   tech : Yield_process.Tech.t;
@@ -59,25 +63,11 @@ module Make (A : Amplifier.S) : sig
       through a large capacitor on the inverting input) and the output node
       name. *)
 
-  val bode_of_circuit :
-    ?conditions:conditions -> Yield_spice.Circuit.t ->
-    Yield_spice.Ac.bode option
-  (** Run the sweep on an externally perturbed copy of the testbench (the
-      Monte Carlo path). *)
-
   val bode : ?conditions:conditions -> A.params -> Yield_spice.Ac.bode option
 
   val evaluate : ?conditions:conditions -> A.params -> perf option
   (** DC + AC + extraction; [None] on any failure.  The optimiser's
       objective function. *)
-
-  val evaluate_sampled :
-    ?conditions:conditions -> spec:Yield_process.Variation.spec ->
-    rng:Yield_stats.Rng.t -> A.params -> perf option
-  (** One Monte Carlo draw of process variation and mismatch applied to
-      every transistor.  Rebuilds the testbench per call; the batch-first
-      Monte Carlo loop uses {!session} + {!evaluate_in_session} instead,
-      which is bit-identical under the default dense solver. *)
 
   type session
   (** One testbench instantiation pinned to a front point: the built
@@ -99,20 +89,30 @@ module Make (A : Amplifier.S) : sig
 
   val session_solver_name : session -> string
 
+  val bode_in_session :
+    session -> Yield_spice.Mna.models -> Yield_spice.Ac.bode option
+  (** The sampled evaluation: DC + AC sweep of the session's circuit with
+      the MOSFET models patched by [models] (one Monte Carlo sample from
+      {!Yield_process.Variation.overrides} or a sibling builder); [None]
+      when the DC solve fails.  This is the only runtime path that
+      evaluates a process-varied testbench.  Its oracle, pinned by the
+      tests, is an unpatched solve of
+      [Yield_process.Variation.apply_overrides (session_circuit s) models],
+      which it matches bit for bit under the dense solver. *)
+
   val evaluate_in_session :
     session -> spec:Yield_process.Variation.spec ->
     rng:Yield_stats.Rng.t -> perf option
-  (** One Monte Carlo sample through the session: draws
-      {!Yield_process.Variation.overrides} and patches device models
-      per-sample instead of rebuilding the circuit.  Consumes the same
-      random deviates as {!evaluate_sampled} and, under the dense solver,
-      returns bit-identical results. *)
+  (** One Monte Carlo sample of process variation and mismatch applied to
+      every transistor: draws {!Yield_process.Variation.overrides}, then
+      {!bode_in_session} and {!perf_of_bode}. *)
 
   val evaluate_with_draw :
     ?conditions:conditions -> spec:Yield_process.Variation.spec ->
     draw:Yield_process.Variation.global_draw -> A.params -> perf option
   (** Deterministic evaluation under a specific global draw, mismatch
-      disabled (sensitivity analysis hook). *)
+      disabled (sensitivity analysis hook): a fresh {!session} patched by
+      {!Yield_process.Variation.overrides_with_draw}. *)
 
   val cmrr_db : ?conditions:conditions -> A.params -> float option
   (** Low-frequency common-mode rejection: differential gain over the gain

@@ -512,11 +512,11 @@ let fig11 ctx =
           let rng = Rng.create 99 in
           let results =
             Montecarlo.run ~samples:mc_samples ~rng (fun sample_rng ->
-                let perturbed =
-                  Variation.perturb_circuit ctx.config.Config.variation
-                    sample_rng circuit
+                let models =
+                  Variation.overrides ctx.config.Config.variation sample_rng
+                    circuit
                 in
-                match Filter.response_of_circuit perturbed ~out with
+                match Filter.response_of_circuit ~models circuit ~out with
                 | None -> None
                 | Some b -> Some (Filter.check spec b))
           in

@@ -19,25 +19,20 @@
 
 type tolerance = { frac : float; abs_s : float }
 
-val default_tolerance : tolerance
-(** [frac = 0.10], [abs_s = 0.] — what {!check} assumes when the baseline
-    file carries no [tolerance] object. *)
-
-val baseline_tolerance : tolerance
-(** [frac = 0.10], [abs_s = 2.0] — what {!baseline_of_bench} stamps by
-    default: slack enough to absorb machine-to-machine constant factors
-    while still catching the counts/identity drift exactly. *)
-
 type finding = { field : string; detail : string }
 
 val to_string : finding -> string
 
 val check : baseline:Yield_obs.Json.t -> bench:Yield_obs.Json.t -> finding list
 (** Empty when the bench run is within tolerance of the baseline; one
-    finding per violated field otherwise. *)
+    finding per violated field otherwise.  A baseline without a
+    [tolerance] object gets [frac = 0.10], [abs_s = 0.]. *)
 
 val baseline_of_bench :
   ?tolerance:tolerance -> Yield_obs.Json.t -> Yield_obs.Json.t
 (** Distil a [BENCH_flow.json] document into a baseline: scale, jobs, the
     tolerance block, stage timings, sim counts and counters (histograms
-    and the jobs sweep are dropped). *)
+    and the jobs sweep are dropped).  [tolerance] defaults to
+    [frac = 0.10], [abs_s = 2.0]: slack enough to absorb
+    machine-to-machine constant factors while still catching the
+    counts/identity drift exactly. *)

@@ -109,10 +109,3 @@ let hypervolume_2d ~ref_point points =
       (neg_infinity, 0.) members
   in
   total
-
-let front_spread points front =
-  let pairs =
-    List.map (fun i -> (points.(i).(0), points.(i).(1))) front
-    |> List.sort compare
-  in
-  Array.of_list pairs

@@ -22,6 +22,3 @@ val hypervolume_2d : ref_point:float * float -> float array array -> float
 (** Dominated hypervolume of a set of 2-D maximised points with respect to a
     reference point below/left of all of them.  A quality indicator for
     comparing optimiser runs. *)
-
-val front_spread : float array array -> int list -> (float * float) array
-(** Sorted (obj0, obj1) pairs of a front, for reporting. *)

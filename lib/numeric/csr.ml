@@ -32,8 +32,6 @@ type symbolic = {
 
 let size s = s.n
 
-let nnz s = Array.length s.f_cols
-
 (* maximum transversal: match every column to a distinct row holding a
    structural entry in it, via augmenting paths.  [rows.(i)] lists the
    columns of original row i.  The matching runs in two phases: first over

@@ -28,9 +28,6 @@ val analyse : ?strong_rows:int array array -> n:int -> int array array -> symbol
     @raise Lu.Singular if the pattern is structurally singular. *)
 
 val size : symbolic -> int
-val nnz : symbolic -> int
-(** Stored entries of the filled pattern (original entries + fill-in). *)
-
 (** {1 Real systems} *)
 
 type rwork

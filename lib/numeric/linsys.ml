@@ -160,10 +160,6 @@ let backend_of_string s =
 
 let backend_names = [ "dense"; "csr" ]
 
-let backend_module : backend -> (module S) = function
-  | Dense -> (module Dense_backend)
-  | Csr -> (module Csr_backend)
-
 type t =
   | Compiled : (module S with type compiled = 'a) * 'a * int -> t
 

@@ -95,8 +95,6 @@ val backend_of_string : string -> backend option
 val backend_names : string list
 (** Valid [--solver] names, in display order. *)
 
-val backend_module : backend -> (module S)
-
 type t
 (** A pattern compiled against a backend.  Immutable and domain-shareable;
     call {!val-real} / {!val-complex} per worker for numeric workspaces. *)

@@ -15,15 +15,8 @@ val factor : Mat.t -> t
 val solve : t -> Vec.t -> Vec.t
 (** [solve f b] returns [x] with [m x = b]. *)
 
-val solve_in_place : t -> Vec.t -> unit
-(** Like {!solve} but overwrites [b] with the solution. *)
-
 val solve_system : Mat.t -> Vec.t -> Vec.t
 (** One-shot [factor] + [solve]. *)
 
 val det : t -> float
 (** Determinant of the factored matrix (sign includes the permutation). *)
-
-val condition_heuristic : t -> float
-(** Cheap conditioning indicator: ratio of the largest to smallest absolute
-    diagonal entry of [U].  Infinite when the smallest is zero. *)

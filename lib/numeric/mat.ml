@@ -90,12 +90,6 @@ let sub a b = map2 ( -. ) a b
 
 let scale s m = { m with data = Array.map (fun x -> s *. x) m.data }
 
-let max_abs m =
-  Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. m.data
-
-let equal_eps eps a b =
-  a.rows = b.rows && a.cols = b.cols && max_abs (sub a b) <= eps
-
 let pp ppf m =
   Format.fprintf ppf "@[<v>";
   for i = 0 to m.rows - 1 do

@@ -41,10 +41,4 @@ val sub : t -> t -> t
 
 val scale : float -> t -> t
 
-val max_abs : t -> float
-
-val equal_eps : float -> t -> t -> bool
-(** [equal_eps eps a b] is true when the two matrices have the same shape and
-    agree entrywise within [eps]. *)
-
 val pp : Format.formatter -> t -> unit

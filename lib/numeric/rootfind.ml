@@ -89,15 +89,3 @@ let brent ?(tol = 1e-12) ?(max_iter = 120) f a b =
     done;
     !b
   end
-
-let secant_in_bracket ?(tol = 1e-12) f a b =
-  let clamp lo hi x = Float.max lo (Float.min hi x) in
-  let lo = Float.min a b and hi = Float.max a b in
-  let rec loop x0 f0 x1 f1 n =
-    if n = 0 || Float.abs (x1 -. x0) <= tol *. (1. +. Float.abs x1) || f1 = f0
-    then x1
-    else
-      let x2 = clamp lo hi (x1 -. (f1 *. (x1 -. x0) /. (f1 -. f0))) in
-      loop x1 f1 x2 (f x2) (n - 1)
-  in
-  loop a (f a) b (f b) 8

@@ -10,8 +10,3 @@ val brent :
   ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float
 (** Brent's method: inverse quadratic interpolation / secant with a bisection
     safety net.  Same bracketing contract as {!bisect}. *)
-
-val secant_in_bracket :
-  ?tol:float -> (float -> float) -> float -> float -> float
-(** A few secant steps clamped to the bracket; cheap refinement when the
-    function is known to be smooth and nearly linear in the bracket. *)

@@ -127,7 +127,10 @@ let mismatch_sigma_beta spec polarity ~w ~l =
   in
   ab /. sqrt (w *. l)
 
-let perturb_model spec draw rng ~w ~l (model : Mosfet.model) =
+(* One device's model under a global draw plus a local mismatch: [mismatch
+   sigma] supplies the threshold deviate, then the beta deviate, at the
+   device's Pelgrom sigmas. *)
+let perturb_with spec draw mismatch ~w ~l (model : Mosfet.model) =
   let dvth_global, dkp_global =
     match model.Mosfet.polarity with
     | Mosfet.Nmos -> (draw.dvth_n, draw.dkp_rel_n)
@@ -135,44 +138,37 @@ let perturb_model spec draw rng ~w ~l (model : Mosfet.model) =
   in
   let sigma_vth = mismatch_sigma_vth spec model.Mosfet.polarity ~w ~l in
   let sigma_beta = mismatch_sigma_beta spec model.Mosfet.polarity ~w ~l in
-  let dvth = dvth_global +. Rng.normal rng ~mean:0. ~sigma:sigma_vth in
-  let dkp_rel = dkp_global +. Rng.normal rng ~mean:0. ~sigma:sigma_beta in
+  let dvth = dvth_global +. mismatch sigma_vth in
+  let dkp_rel = dkp_global +. mismatch sigma_beta in
   Mosfet.with_deltas model ~dvth ~dkp_rel ~dlambda_rel:draw.dlambda_rel
 
-let perturb_circuit_with_draw spec draw rng circuit =
-  Circuit.map_devices circuit (fun dev ->
-      match dev with
-      | Device.Mosfet m ->
-          let model = perturb_model spec draw rng ~w:m.w ~l:m.l m.model in
-          Device.Mosfet { m with model }
-      | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
-      | Device.Isource _ | Device.Vccs _ ->
-          dev)
+let rng_mismatch rng sigma = Rng.normal rng ~mean:0. ~sigma
 
-let perturb_circuit spec rng circuit =
-  perturb_circuit_with_draw spec (draw_global spec rng) rng circuit
+let perturb_model spec draw rng = perturb_with spec draw (rng_mismatch rng)
 
-(* ---------- batch-first per-sample overrides ----------
+(* ---------- per-sample overrides ----------
 
-   [Circuit.map_devices] applies its function through [List.rev_map] over
-   the reversed device list, i.e. in REVERSE device-array order (index
-   n-1 down to 0).  The overrides builders below must consume mismatch
-   deviates in exactly that order so that the per-sample patching path is
-   bit-identical to the historical full-rebuild path. *)
+   Mismatch deviates are consumed in REVERSE device-array order (index n-1
+   down to 0), the order [Circuit.map_devices] visits devices in, so
+   {!apply_overrides} rebuilds exactly the circuit the patched models
+   describe and historical seeds keep their samples. *)
 
-let overrides_with_draw spec draw rng circuit =
+let overrides_walk spec draw mismatch circuit =
   let devices = Circuit.devices circuit in
   let n = Array.length devices in
   let out : Yield_spice.Mna.models = Array.make n None in
   for di = n - 1 downto 0 do
     match devices.(di) with
     | Device.Mosfet m ->
-        out.(di) <- Some (perturb_model spec draw rng ~w:m.w ~l:m.l m.model)
+        out.(di) <- Some (perturb_with spec draw mismatch ~w:m.w ~l:m.l m.model)
     | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
     | Device.Isource _ | Device.Vccs _ ->
         ()
   done;
   out
+
+let overrides_with_draw spec draw rng circuit =
+  overrides_walk spec draw (rng_mismatch rng) circuit
 
 let overrides spec rng circuit =
   overrides_with_draw spec (draw_global spec rng) rng circuit
@@ -194,34 +190,7 @@ let overrides_gen spec z circuit =
       dlambda_rel = zl *. g.sigma_lambda_rel;
     }
   in
-  let devices = Circuit.devices circuit in
-  let n = Array.length devices in
-  let out : Yield_spice.Mna.models = Array.make n None in
-  for di = n - 1 downto 0 do
-    match devices.(di) with
-    | Device.Mosfet m ->
-        let dvth_global, dkp_global =
-          match m.model.Mosfet.polarity with
-          | Mosfet.Nmos -> (draw.dvth_n, draw.dkp_rel_n)
-          | Mosfet.Pmos -> (draw.dvth_p, draw.dkp_rel_p)
-        in
-        let sigma_vth =
-          mismatch_sigma_vth spec m.model.Mosfet.polarity ~w:m.w ~l:m.l
-        in
-        let sigma_beta =
-          mismatch_sigma_beta spec m.model.Mosfet.polarity ~w:m.w ~l:m.l
-        in
-        let dvth = dvth_global +. (z () *. sigma_vth) in
-        let dkp_rel = dkp_global +. (z () *. sigma_beta) in
-        out.(di) <-
-          Some
-            (Mosfet.with_deltas m.model ~dvth ~dkp_rel
-               ~dlambda_rel:draw.dlambda_rel)
-    | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
-    | Device.Isource _ | Device.Vccs _ ->
-        ()
-  done;
-  out
+  overrides_walk spec draw (fun sigma -> z () *. sigma) circuit
 
 let apply_overrides circuit (models : Yield_spice.Mna.models) =
   let n = Array.length (Circuit.devices circuit) in

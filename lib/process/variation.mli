@@ -70,53 +70,40 @@ val perturb_model :
 (** Apply the global draw plus a freshly sampled local mismatch to a device
     model. *)
 
-val perturb_circuit :
-  spec -> Yield_stats.Rng.t -> Yield_spice.Circuit.t -> Yield_spice.Circuit.t
-(** One Monte Carlo instance of the circuit: draws a global sample, then an
-    independent mismatch for every MOSFET.  The input circuit is unchanged. *)
+(** {1 Per-sample overrides}
 
-val perturb_circuit_with_draw :
-  spec -> global_draw -> Yield_stats.Rng.t -> Yield_spice.Circuit.t ->
-  Yield_spice.Circuit.t
-(** Like {!perturb_circuit} but with an externally supplied global draw
-    (stratified/LHS sampling); mismatch is still drawn from [rng]. *)
-
-(** {1 Batch-first per-sample overrides}
-
-    The Monte Carlo inner loop instantiates a circuit once per front point
-    and patches device models per sample ({!Yield_spice.Mna.models})
-    instead of rebuilding the circuit.  The builders below consume random
-    deviates in exactly the order the historical rebuild path
-    ({!perturb_circuit} through [Circuit.map_devices]) did — reverse
-    device-array order — so patching is bit-identical to rebuilding
-    (test-pinned). *)
+    A Monte Carlo sample is a per-device model override array
+    ({!Yield_spice.Mna.models}): the circuit is instantiated once per
+    design point and every sample patches its MOSFET models instead of
+    rebuilding it; this is the only runtime sampled-evaluation path.  All
+    three builders share one per-device walk, which consumes mismatch deviates
+    in reverse device-array order (threshold, then beta, per MOSFET), so
+    the samples of a seed never change. *)
 
 val overrides :
   spec -> Yield_stats.Rng.t -> Yield_spice.Circuit.t -> Yield_spice.Mna.models
-(** One Monte Carlo sample as a per-device model override array: draws a
-    global sample, then an independent mismatch for every MOSFET.  Consumes
-    the same deviates as {!perturb_circuit}; feeding the result to
-    {!apply_overrides} reproduces its output exactly. *)
+(** One Monte Carlo sample: draws a global sample ({!draw_global}), then an
+    independent mismatch for every MOSFET. *)
 
 val overrides_with_draw :
   spec -> global_draw -> Yield_stats.Rng.t -> Yield_spice.Circuit.t ->
   Yield_spice.Mna.models
 (** Like {!overrides} but with an externally supplied global draw
-    (stratified/LHS sampling); mismatch is still drawn from [rng]. *)
+    (stratified/LHS sampling, sensitivity analysis); mismatch is still
+    drawn from [rng]. *)
 
 val overrides_gen :
   spec -> (unit -> float) -> Yield_spice.Circuit.t -> Yield_spice.Mna.models
 (** Like {!overrides} but with every standard-normal deviate supplied by
     the callback: the five global components (vth_n, vth_p, kp_n, kp_p,
     lambda) first, then a threshold and a beta mismatch deviate per MOSFET
-    in the order {!perturb_circuit} visits devices (reverse device-array
-    order).  The hook for truncated or quasi-random sampling — the
-    corner-soundness property tests draw deviates conditioned to the
-    ±k·sigma box this way.  (Replaces the retired [perturb_circuit_gen];
-    compose with {!apply_overrides} for a full circuit.) *)
+    in reverse device-array order.  The hook for truncated or quasi-random
+    sampling — the corner-soundness property tests draw deviates
+    conditioned to the ±k·sigma box this way. *)
 
 val apply_overrides :
   Yield_spice.Circuit.t -> Yield_spice.Mna.models -> Yield_spice.Circuit.t
 (** Bake an override array into a fresh circuit (the input is unchanged).
-    [apply_overrides c (overrides spec rng c)] is bit-identical to
-    [perturb_circuit spec rng c] at equal RNG state. *)
+    The test oracle of the patching path: an unpatched DC/AC solve of
+    [apply_overrides c models] must equal the patched solve of [c] under
+    [models] bit for bit. *)

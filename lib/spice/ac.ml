@@ -1,4 +1,3 @@
-module Cmat = Yield_numeric.Cmat
 module Linsys = Yield_numeric.Linsys
 module Fault = Yield_resilience.Fault
 
@@ -19,18 +18,6 @@ let precheck circuit =
   | [] -> ()
   | issue :: _ -> raise (Singular (Topology.issue_to_string issue))
 
-let system circuit (op : Dcop.t) =
-  precheck circuit;
-  let ops name = Dcop.mos_op op name in
-  Mna.assemble_ac circuit op.Dcop.layout ~ops
-
-let solve_pieces (g, c, rhs) ~freq =
-  let omega = 2. *. Float.pi *. freq in
-  let m = Cmat.of_real ~imag_scale:omega g c in
-  Cmat.solve m rhs
-
-let solve_at circuit op ~freq = solve_pieces (system circuit op) ~freq
-
 let transfer ?sys circuit op ~out ~freqs =
   if Fault.fire fp_solve then
     { freqs; response = Array.map (fun _ -> Complex.{ re = nan; im = nan }) freqs }
@@ -45,7 +32,7 @@ let transfer ?sys circuit op ~out ~freqs =
     in
     let cs = Mna.sys_complex s in
     let ops name = Dcop.mos_op op name in
-    let rhs = Mna.assemble_ac_into cs circuit (Mna.sys_layout s) ~ops in
+    let rhs = Mna.assemble_ac cs circuit (Mna.sys_layout s) ~ops in
     let response =
       Array.map
         (fun freq ->

@@ -62,7 +62,7 @@ let newton rs ?models circuit layout options ~source_scale ~gmin ~x0 =
     if i >= options.max_iterations then None
     else begin
       let rhs =
-        Mna.assemble_dc_into rs ?models circuit layout ~x ~source_scale ~gmin
+        Mna.assemble_dc rs ?models circuit layout ~x ~source_scale ~gmin
       in
       match rs.Linsys.solve rhs with
       | exception Lu.Singular _ -> None

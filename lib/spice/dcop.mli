@@ -15,8 +15,6 @@ type options = {
   gmin : float;  (** baseline node-to-ground conductance; default 1e-12 *)
 }
 
-val default_options : options
-
 type error =
   | No_convergence of { attempts : string list }
   | Singular_system of string

@@ -22,9 +22,6 @@ val phase_margin_deg : Ac.bode -> float option
 (** [180 + phase(f_unity)] using the unwrapped phase; [None] when there is no
     unity crossing. *)
 
-val gain_margin_db : Ac.bode -> float option
-(** [-magnitude] at the first -180 degree phase crossing. *)
-
 val f3db : Ac.bode -> float option
 (** Frequency of the first 3 dB drop below the DC gain. *)
 

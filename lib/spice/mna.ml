@@ -1,5 +1,4 @@
 module Vec = Yield_numeric.Vec
-module Mat = Yield_numeric.Mat
 module Linsys = Yield_numeric.Linsys
 
 type layout = {
@@ -44,11 +43,11 @@ let model_override models di default =
   | None -> default
   | Some arr -> ( match arr.(di) with Some m -> m | None -> default)
 
-(* Stamping helpers, generic over an [add row col value] accumulator so the
-   same arithmetic lands in a dense matrix or a sparse value slot; ground
-   rows and columns are skipped. *)
+(* Stamping helpers, over an [add row col value] accumulator (a Linsys
+   workspace, or a pattern builder); ground rows and columns are
+   skipped. *)
 
-let stamp_g_into add a b g =
+let stamp_g add a b g =
   if a <> Device.ground then add (a - 1) (a - 1) g;
   if b <> Device.ground then add (b - 1) (b - 1) g;
   if a <> Device.ground && b <> Device.ground then begin
@@ -58,7 +57,7 @@ let stamp_g_into add a b g =
 
 (* transconductance: current [g * v(cp, cn)] leaves node [op] and enters
    node [on] *)
-let stamp_gm_into add op_node on_node cp cn g =
+let stamp_gm add op_node on_node cp cn g =
   let entry row col sign =
     if row <> Device.ground && col <> Device.ground then
       add (row - 1) (col - 1) (sign *. g)
@@ -67,11 +66,6 @@ let stamp_gm_into add op_node on_node cp cn g =
   entry op_node cn (-1.);
   entry on_node cp (-1.);
   entry on_node cn 1.
-
-let stamp_g m a b g = stamp_g_into (Mat.add_to m) a b g
-
-let stamp_gm m op_node on_node cp cn g =
-  stamp_gm_into (Mat.add_to m) op_node on_node cp cn g
 
 let inject rhs node value =
   if node <> Device.ground then rhs.(node - 1) <- rhs.(node - 1) +. value
@@ -97,17 +91,12 @@ let mos_linearise ~model ~w ~l ~d ~g ~s ~b x =
   in
   (op, ids_eff)
 
-let stamp_conductance_into = stamp_g_into
-
 let stamp_conductance = stamp_g
 
-let stamp_transconductance_into add ~out_p ~out_n ~in_p ~in_n g =
-  stamp_gm_into add out_p out_n in_p in_n g
+let stamp_transconductance add ~out_p ~out_n ~in_p ~in_n g =
+  stamp_gm add out_p out_n in_p in_n g
 
-let stamp_transconductance m ~out_p ~out_n ~in_p ~in_n g =
-  stamp_gm m out_p out_n in_p in_n g
-
-let stamp_branch_into add l ~name ~npos ~nneg =
+let stamp_branch add l ~name ~npos ~nneg =
   let br = Hashtbl.find l.branches name in
   if npos <> Device.ground then begin
     add (npos - 1) br 1.;
@@ -118,15 +107,12 @@ let stamp_branch_into add l ~name ~npos ~nneg =
     add br (nneg - 1) (-1.)
   end
 
-let stamp_branch m l ~name ~npos ~nneg =
-  stamp_branch_into (Mat.add_to m) l ~name ~npos ~nneg
-
-let stamp_mosfet_dc_into add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l =
+let stamp_mosfet_dc add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l =
   let op, ids_eff = mos_linearise ~model ~w ~l ~d ~g:gate ~s ~b x in
   let gm = op.Mosfet.gm and gds = op.Mosfet.gds and gmb = op.Mosfet.gmb in
-  stamp_gm_into add d s gate s gm;
-  stamp_g_into add d s gds;
-  stamp_gm_into add d s b s gmb;
+  stamp_gm add d s gate s gm;
+  stamp_g add d s gds;
+  stamp_gm add d s b s gmb;
   let vd = voltage x d
   and vg = voltage x gate
   and vs = voltage x s
@@ -138,9 +124,6 @@ let stamp_mosfet_dc_into add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l =
   inject rhs d ieq;
   inject rhs s (-.ieq);
   op
-
-let stamp_mosfet_dc mat rhs ~x ~d ~g ~s ~b ~model ~w ~l =
-  stamp_mosfet_dc_into (Mat.add_to mat) rhs ~x ~d ~g ~s ~b ~model ~w ~l
 
 (* ---------- structural pattern, built once per topology ---------- *)
 
@@ -159,10 +142,10 @@ let pattern circuit l =
      and transient assemblies fill them) but never eligible as a pivot of
      the csr transversal *)
   let add_weak i j = Linsys.Pattern.add_weak bld i j in
-  let pg a b = stamp_g_into (fun i j _ -> add i j) a b 1. in
-  let pc a b = stamp_g_into (fun i j _ -> add_weak i j) a b 1. in
+  let pg a b = stamp_g (fun i j _ -> add i j) a b 1. in
+  let pc a b = stamp_g (fun i j _ -> add_weak i j) a b 1. in
   let pgm op_node on_node cp cn =
-    stamp_gm_into (fun i j _ -> add i j) op_node on_node cp cn 1.
+    stamp_gm (fun i j _ -> add i j) op_node on_node cp cn 1.
   in
   for i = 0 to l.n_nodes - 1 do
     add i i
@@ -173,7 +156,7 @@ let pattern circuit l =
       | Device.Resistor { n1; n2; _ } -> pg n1 n2
       | Device.Capacitor { n1; n2; _ } -> pc n1 n2
       | Device.Vsource { name; npos; nneg; _ } ->
-          stamp_branch_into (fun i j _ -> add i j) l ~name ~npos ~nneg
+          stamp_branch (fun i j _ -> add i j) l ~name ~npos ~nneg
       | Device.Isource _ -> ()
       | Device.Vccs { out_p; out_n; in_p; in_n; _ } -> pgm out_p out_n in_p in_n
       | Device.Mosfet { d; g; s; b; _ } ->
@@ -207,44 +190,35 @@ let sys_solver_name s = Linsys.name s.compiled
 
 (* ---------- assembly ---------- *)
 
-let assemble_dc_core add rhs ?models circuit l ~x ~source_scale ~gmin =
+let assemble_dc (rs : Linsys.real) ?models circuit l ~x ~source_scale
+    ~gmin =
+  rs.Linsys.reset ();
+  let add = rs.Linsys.add in
+  let rhs = Vec.create l.size in
   for i = 0 to l.n_nodes - 1 do
     add i i gmin
   done;
   let stamp_device di dev =
     match dev with
-    | Device.Resistor { n1; n2; ohms; _ } -> stamp_g_into add n1 n2 (1. /. ohms)
+    | Device.Resistor { n1; n2; ohms; _ } -> stamp_g add n1 n2 (1. /. ohms)
     | Device.Capacitor _ -> ()
     | Device.Vsource { name; npos; nneg; dc; _ } ->
-        stamp_branch_into add l ~name ~npos ~nneg;
+        stamp_branch add l ~name ~npos ~nneg;
         rhs.(Hashtbl.find l.branches name) <- dc *. source_scale
     | Device.Isource { npos; nneg; dc; _ } ->
         inject rhs npos (-.dc *. source_scale);
         inject rhs nneg (dc *. source_scale)
     | Device.Vccs { out_p; out_n; in_p; in_n; gm; _ } ->
-        stamp_gm_into add out_p out_n in_p in_n gm
+        stamp_gm add out_p out_n in_p in_n gm
     | Device.Mosfet { d; g = gate; s; b; model; w; l = len; _ } ->
         (* For both polarities, in node-voltage terms:
              d ids_eff/d vg = gm, d/d vd = gds, d/d vb = gmb,
              d/d vs = -(gm + gds + gmb).
            (For PMOS the two sign flips cancel.) *)
         let model = model_override models di model in
-        ignore
-          (stamp_mosfet_dc_into add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l:len)
+        ignore (stamp_mosfet_dc add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l:len)
   in
-  Array.iteri stamp_device (Circuit.devices circuit)
-
-let assemble_dc ?models circuit l ~x ~source_scale ~gmin =
-  let g = Mat.create l.size l.size in
-  let rhs = Vec.create l.size in
-  assemble_dc_core (Mat.add_to g) rhs ?models circuit l ~x ~source_scale ~gmin;
-  (g, rhs)
-
-let assemble_dc_into (rs : Linsys.real) ?models circuit l ~x ~source_scale
-    ~gmin =
-  rs.Linsys.reset ();
-  let rhs = Vec.create l.size in
-  assemble_dc_core rs.Linsys.add rhs ?models circuit l ~x ~source_scale ~gmin;
+  Array.iteri stamp_device (Circuit.devices circuit);
   rhs
 
 let mos_operating_points ?models circuit ~x =
@@ -262,13 +236,16 @@ let mos_operating_points ?models circuit ~x =
     (Circuit.devices circuit);
   List.rev !acc
 
-let assemble_ac_core add_g add_c rhs circuit l ~ops =
+let assemble_ac (cs : Linsys.complex_sys) circuit l ~ops =
+  cs.Linsys.creset ();
+  let add_g = cs.Linsys.add_g and add_c = cs.Linsys.add_c in
+  let rhs = Array.make l.size Complex.zero in
   let stamp_device dev =
     match dev with
-    | Device.Resistor { n1; n2; ohms; _ } -> stamp_g_into add_g n1 n2 (1. /. ohms)
-    | Device.Capacitor { n1; n2; farads; _ } -> stamp_g_into add_c n1 n2 farads
+    | Device.Resistor { n1; n2; ohms; _ } -> stamp_g add_g n1 n2 (1. /. ohms)
+    | Device.Capacitor { n1; n2; farads; _ } -> stamp_g add_c n1 n2 farads
     | Device.Vsource { name; npos; nneg; ac; _ } ->
-        stamp_branch_into add_g l ~name ~npos ~nneg;
+        stamp_branch add_g l ~name ~npos ~nneg;
         rhs.(Hashtbl.find l.branches name) <- { Complex.re = ac; im = 0. }
     | Device.Isource { npos; nneg; ac; _ } ->
         if npos <> Device.ground then
@@ -278,32 +255,20 @@ let assemble_ac_core add_g add_c rhs circuit l ~ops =
           rhs.(nneg - 1) <-
             Complex.add rhs.(nneg - 1) { Complex.re = ac; im = 0. }
     | Device.Vccs { out_p; out_n; in_p; in_n; gm; _ } ->
-        stamp_gm_into add_g out_p out_n in_p in_n gm
+        stamp_gm add_g out_p out_n in_p in_n gm
     | Device.Mosfet { name; d; g = gate; s; b; _ } ->
         let op = ops name in
-        stamp_gm_into add_g d s gate s op.Mosfet.gm;
-        stamp_g_into add_g d s op.Mosfet.gds;
-        stamp_gm_into add_g d s b s op.Mosfet.gmb;
-        stamp_g_into add_c gate s op.Mosfet.cgs;
-        stamp_g_into add_c gate d op.Mosfet.cgd;
-        stamp_g_into add_c d b op.Mosfet.cdb;
-        stamp_g_into add_c s b op.Mosfet.csb
+        stamp_gm add_g d s gate s op.Mosfet.gm;
+        stamp_g add_g d s op.Mosfet.gds;
+        stamp_gm add_g d s b s op.Mosfet.gmb;
+        stamp_g add_c gate s op.Mosfet.cgs;
+        stamp_g add_c gate d op.Mosfet.cgd;
+        stamp_g add_c d b op.Mosfet.cdb;
+        stamp_g add_c s b op.Mosfet.csb
   in
   Array.iter stamp_device (Circuit.devices circuit);
   (* small leak keeps floating nodes (e.g. pure-capacitive) solvable *)
   for i = 0 to l.n_nodes - 1 do
     add_g i i 1e-12
-  done
-
-let assemble_ac circuit l ~ops =
-  let g = Mat.create l.size l.size in
-  let c = Mat.create l.size l.size in
-  let rhs = Array.make l.size Complex.zero in
-  assemble_ac_core (Mat.add_to g) (Mat.add_to c) rhs circuit l ~ops;
-  (g, c, rhs)
-
-let assemble_ac_into (cs : Linsys.complex_sys) circuit l ~ops =
-  cs.Linsys.creset ();
-  let rhs = Array.make l.size Complex.zero in
-  assemble_ac_core cs.Linsys.add_g cs.Linsys.add_c rhs circuit l ~ops;
+  done;
   rhs

@@ -22,9 +22,11 @@ val voltage : Yield_numeric.Vec.t -> Device.node -> float
 
 (** {1 Per-sample model overrides}
 
-    The batch-first Monte Carlo loop instantiates a circuit once per front
-    point and patches device models per sample instead of rebuilding the
-    circuit.  [models.(di)] (indexed by position in [Circuit.devices])
+    Every Monte Carlo sample is evaluated this way: the circuit is
+    instantiated once per design point and each sample patches device
+    models instead of rebuilding the circuit (baking the models into a
+    rebuilt circuit survives only as the tests' oracle,
+    [Yield_process.Variation.apply_overrides]).  [models.(di)] (indexed by position in [Circuit.devices])
     replaces the MOSFET model of that device when [Some]; [None] slots — and
     an absent array — mean the nominal model baked into the circuit. *)
 
@@ -68,25 +70,24 @@ val sys_complex : sys -> Yield_numeric.Linsys.complex_sys
 
 val sys_solver_name : sys -> string
 
-(** {1 Assembly} *)
+(** {1 Assembly}
+
+    One walk per analysis, through a {!Yield_numeric.Linsys} workspace:
+    each call resets the workspace, stamps every device, and returns the
+    right-hand side.  The DC Newton step, the AC sweep, the noise analysis
+    and the corner analysis's preconditioner all assemble here; the
+    transient engine reuses the stamping primitives below. *)
 
 val assemble_dc :
-  ?models:models ->
-  Circuit.t -> layout -> x:Yield_numeric.Vec.t -> source_scale:float ->
-  gmin:float -> Yield_numeric.Mat.t * Yield_numeric.Vec.t
-(** Newton-linearised DC system around the guess [x]: returns [(g, rhs)] such
-    that solving [g x' = rhs] yields the next iterate.  [source_scale] scales
-    all independent sources (for source-stepping homotopy); [gmin] is a
-    conductance added from every node to ground. *)
-
-val assemble_dc_into :
   Yield_numeric.Linsys.real ->
   ?models:models ->
   Circuit.t -> layout -> x:Yield_numeric.Vec.t -> source_scale:float ->
   gmin:float -> Yield_numeric.Vec.t
-(** Same stamps through a {!Yield_numeric.Linsys.real} workspace (resetting
-    it first); returns the right-hand side.  With a dense workspace this is
-    byte-identical to {!assemble_dc}. *)
+(** Newton-linearised DC system around the guess [x]: after the call,
+    solving the workspace against the returned right-hand side yields the
+    next iterate.  [source_scale] scales all independent sources (for
+    source-stepping homotopy); [gmin] is a conductance added from every
+    node to ground. *)
 
 val mos_operating_points :
   ?models:models ->
@@ -96,60 +97,37 @@ val mos_operating_points :
     {!Mosfet.eval} on the flipped bias). *)
 
 val assemble_ac :
-  Circuit.t -> layout -> ops:(string -> Mosfet.op) ->
-  Yield_numeric.Mat.t * Yield_numeric.Mat.t * Complex.t array
-(** Small-signal system pieces: [(g, c, rhs)] with the full system
-    [ (g + jw c) x = rhs ], where [rhs] carries the AC magnitudes of the
-    independent sources.  [ops] maps MOSFET names to their DC operating
-    points. *)
-
-val assemble_ac_into :
   Yield_numeric.Linsys.complex_sys ->
   Circuit.t -> layout -> ops:(string -> Mosfet.op) -> Complex.t array
-(** Same stamps through a {!Yield_numeric.Linsys.complex_sys} workspace
-    (resetting it first); returns the right-hand side. *)
+(** Small-signal system [(G + jw C) x = rhs] into the workspace's [G] and
+    [C]; the returned [rhs] carries the AC magnitudes of the independent
+    sources.  [ops] maps MOSFET names to their DC operating points. *)
 
 (** {1 Low-level stamping primitives, shared with the transient engine}
 
-    Each exists in two forms: stamping into a dense matrix, and the
-    [_into] form stamping through a generic [add row col value]
-    accumulator (a {!Yield_numeric.Linsys} workspace). *)
+    Each stamps through a generic [add row col value] accumulator (a
+    {!Yield_numeric.Linsys} workspace's [add]). *)
 
-val stamp_conductance : Yield_numeric.Mat.t -> Device.node -> Device.node -> float -> unit
+val stamp_conductance :
+  (int -> int -> float -> unit) -> Device.node -> Device.node -> float -> unit
 (** Two-terminal conductance between two nodes (ground rows skipped). *)
 
-val stamp_conductance_into :
-  (int -> int -> float -> unit) -> Device.node -> Device.node -> float -> unit
-
 val stamp_transconductance :
-  Yield_numeric.Mat.t -> out_p:Device.node -> out_n:Device.node ->
+  (int -> int -> float -> unit) -> out_p:Device.node -> out_n:Device.node ->
   in_p:Device.node -> in_n:Device.node -> float -> unit
 (** Current [g * v(in_p, in_n)] leaving [out_p], entering [out_n]. *)
 
-val stamp_transconductance_into :
-  (int -> int -> float -> unit) -> out_p:Device.node -> out_n:Device.node ->
-  in_p:Device.node -> in_n:Device.node -> float -> unit
-
 val stamp_branch :
-  Yield_numeric.Mat.t -> layout -> name:string -> npos:Device.node ->
-  nneg:Device.node -> unit
-(** Voltage-source branch rows/columns (without the RHS value). *)
-
-val stamp_branch_into :
   (int -> int -> float -> unit) -> layout -> name:string ->
   npos:Device.node -> nneg:Device.node -> unit
+(** Voltage-source branch rows/columns (without the RHS value). *)
 
 val inject : Yield_numeric.Vec.t -> Device.node -> float -> unit
 (** Add a current injection into a node's KCL right-hand side. *)
 
 val stamp_mosfet_dc :
-  Yield_numeric.Mat.t -> Yield_numeric.Vec.t -> x:Yield_numeric.Vec.t ->
-  d:Device.node -> g:Device.node -> s:Device.node -> b:Device.node ->
-  model:Mosfet.model -> w:float -> l:float -> Mosfet.op
-(** Newton-linearised MOSFET stamp around the guess [x]; returns the
-    normalised operating point used. *)
-
-val stamp_mosfet_dc_into :
   (int -> int -> float -> unit) -> Yield_numeric.Vec.t ->
   x:Yield_numeric.Vec.t -> d:Device.node -> g:Device.node -> s:Device.node ->
   b:Device.node -> model:Mosfet.model -> w:float -> l:float -> Mosfet.op
+(** Newton-linearised MOSFET stamp around the guess [x]; returns the
+    normalised operating point used. *)

@@ -52,6 +52,22 @@ type op = {
 
 val region_to_string : region -> string
 
+(** {1 Scalar kernels}
+
+    The EKV interpolation kernels {!eval} is built from.  The corner
+    analysis's interval evaluator takes its endpoint images from these same
+    functions, so both evaluate identical floats. *)
+
+val sigmoid : float -> float
+(** [1 / (1 + e^-x)], overflow-safe: exactly 1 above 40, [e^x] below
+    -40. *)
+
+val ekv_f : float -> float
+(** The EKV interpolation function [F(x) = ln^2 (1 + e^(x/2))]. *)
+
+val ekv_f' : float -> float
+(** Its derivative, [ln (1 + e^(x/2)) / (1 + e^(-x/2))]. *)
+
 val eval : model -> w:float -> l:float -> vgs:float -> vds:float -> vbs:float -> op
 (** Evaluate at a bias point.  [w] and [l] in metres.  Handles [vds < 0] by
     source/drain exchange so Newton iterations may pass through reversal.

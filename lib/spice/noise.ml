@@ -93,7 +93,7 @@ let output_noise ?(flicker = default_flicker) ?sys ?models circuit op ~out
   let layout = Mna.sys_layout s in
   let cs = Mna.sys_complex s in
   let ops name = Dcop.mos_op op name in
-  let _ = Mna.assemble_ac_into cs circuit layout ~ops in
+  let _ = Mna.assemble_ac cs circuit layout ~ops in
   let sources = collect_sources ?models flicker circuit op in
   let size = Mna.size layout in
   Array.map

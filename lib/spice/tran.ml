@@ -126,7 +126,7 @@ let run ?sys ?models options circuit =
               (fun di dev ->
                 match dev with
                 | Device.Resistor { n1; n2; ohms; _ } ->
-                    Mna.stamp_conductance_into add n1 n2 (1. /. ohms)
+                    Mna.stamp_conductance add n1 n2 (1. /. ohms)
                 | Device.Capacitor _ | Device.Mosfet _ ->
                     (* caps handled via slots below; MOS conductive part
                        stamped here *)
@@ -134,7 +134,7 @@ let run ?sys ?models options circuit =
                     | Device.Mosfet { d; g; s; b; model; w; l; name = _ } ->
                         let model = Mna.model_override models di model in
                         ignore
-                          (Mna.stamp_mosfet_dc_into add rhs ~x ~d ~g ~s ~b
+                          (Mna.stamp_mosfet_dc add rhs ~x ~d ~g ~s ~b
                              ~model ~w ~l)
                     | _ -> ());
                     List.iter
@@ -147,12 +147,12 @@ let run ?sys ?models options circuit =
                           if first then geq *. v_old
                           else (geq *. v_old) +. slot.i_prev
                         in
-                        Mna.stamp_conductance_into add slot.a slot.b geq;
+                        Mna.stamp_conductance add slot.a slot.b geq;
                         Mna.inject rhs slot.a i_hist;
                         Mna.inject rhs slot.b (-.i_hist))
                       slots.(di)
                 | Device.Vsource { name; npos; nneg; dc; wave; _ } ->
-                    Mna.stamp_branch_into add layout ~name ~npos ~nneg;
+                    Mna.stamp_branch add layout ~name ~npos ~nneg;
                     rhs.(Mna.branch_index layout name) <-
                       source_value_at ~dc ~wave t
                 | Device.Isource { npos; nneg; dc; wave; _ } ->
@@ -160,7 +160,7 @@ let run ?sys ?models options circuit =
                     Mna.inject rhs npos (-.value);
                     Mna.inject rhs nneg value
                 | Device.Vccs { out_p; out_n; in_p; in_n; gm; _ } ->
-                    Mna.stamp_transconductance_into add ~out_p ~out_n ~in_p
+                    Mna.stamp_transconductance add ~out_p ~out_n ~in_p
                       ~in_n gm)
               devices;
             match rs.Linsys.solve rhs with

@@ -105,23 +105,6 @@ let variance = function
       -. (mode *. hi))
       /. 18.
 
-let pdf d x =
-  match d with
-  | Normal { mean; sigma } ->
-      let z = (x -. mean) /. sigma in
-      exp (-0.5 *. z *. z) /. (sigma *. sqrt (2. *. Float.pi))
-  | Uniform { lo; hi } -> if x < lo || x > hi then 0. else 1. /. (hi -. lo)
-  | Lognormal { mu; sigma } ->
-      if x <= 0. then 0.
-      else
-        let z = (log x -. mu) /. sigma in
-        exp (-0.5 *. z *. z) /. (x *. sigma *. sqrt (2. *. Float.pi))
-  | Triangular { lo; mode; hi } ->
-      if x < lo || x > hi then 0.
-      else if x < mode then 2. *. (x -. lo) /. ((hi -. lo) *. (mode -. lo))
-      else if x = mode then 2. /. (hi -. lo)
-      else 2. *. (hi -. x) /. ((hi -. lo) *. (hi -. mode))
-
 let cdf d x =
   match d with
   | Normal { mean; sigma } -> normal_cdf ~mean ~sigma x

@@ -14,8 +14,6 @@ val mean : t -> float
 
 val variance : t -> float
 
-val pdf : t -> float -> float
-
 val cdf : t -> float -> float
 
 val quantile : t -> float -> float

@@ -37,9 +37,6 @@ val restore : t -> state -> unit
 
 val of_state : state -> t
 
-val uint64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float
 (** Uniform in [0, 1) with 53-bit resolution. *)
 

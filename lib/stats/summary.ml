@@ -29,9 +29,6 @@ let min_value t = if t.count = 0 then nan else t.min_v
 
 let max_value t = if t.count = 0 then nan else t.max_v
 
-let std_error t =
-  if t.count < 2 then nan else stddev t /. sqrt (float_of_int t.count)
-
 let quantile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Summary.quantile: empty sample";

@@ -24,9 +24,6 @@ val min_value : t -> float
 
 val max_value : t -> float
 
-val std_error : t -> float
-(** Standard error of the mean. *)
-
 (** Order statistics and histograms need the retained sample. *)
 
 val quantile : float array -> float -> float

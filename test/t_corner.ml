@@ -159,7 +159,8 @@ let in_opt what (enc : I.t option) x =
    the box -- while keeping every sample usable at small k, where
    unconditioned 25-dimensional draws would essentially never qualify. *)
 let soundness_case ~name ~samples ~seed ~k ~conditions ~circuit
-    ~(bode_of_circuit : Circuit.t -> Yield_spice.Ac.bode option) () =
+    ~(bode_in_session : Yield_spice.Mna.models -> Yield_spice.Ac.bode option)
+    () =
   let spec = Variation.default_spec in
   let window = { CL.min_gain_db = 0.; min_pm_deg = 0. } in
   let freqs = Tb.freqs_of conditions in
@@ -178,14 +179,12 @@ let soundness_case ~name ~samples ~seed ~k ~conditions ~circuit
   in
   let skipped = ref 0 and degenerate = ref 0 and checked = ref 0 in
   for _ = 1 to samples do
-    let perturbed =
-      Variation.apply_overrides circuit
-        (Variation.overrides_gen spec truncated_z circuit)
-    in
+    let models = Variation.overrides_gen spec truncated_z circuit in
+    let perturbed = Variation.apply_overrides circuit models in
     if not (sample_in_box ~k ~spec ~slices:report.CL.slices circuit perturbed)
     then incr skipped
     else
-      match bode_of_circuit perturbed with
+      match bode_in_session models with
       | None -> incr degenerate
       | Some b -> (
           incr checked;
@@ -211,21 +210,25 @@ let fast_conditions =
   { Tb.default_conditions with Tb.points_per_decade = 5; f_lo = 100.; f_hi = 1e9 }
 
 let test_soundness_ota () =
-  let circuit, out = Ota_tb.build ~conditions:fast_conditions Ota.default_params in
+  let _, out = Ota_tb.build ~conditions:fast_conditions Ota.default_params in
   Alcotest.(check string) "probe node" "out" out;
+  let session = Ota_tb.session ~conditions:fast_conditions Ota.default_params in
   soundness_case ~name:"ota" ~samples:1000 ~seed:2008 ~k:0.5
-    ~conditions:fast_conditions ~circuit
-    ~bode_of_circuit:(Ota_tb.bode_of_circuit ~conditions:fast_conditions)
+    ~conditions:fast_conditions ~circuit:(Ota_tb.session_circuit session)
+    ~bode_in_session:(Ota_tb.bode_in_session session)
     ()
 
 let test_soundness_miller () =
-  let circuit, out =
+  let _, out =
     Miller_tb.build ~conditions:fast_conditions Miller.default_params
   in
   Alcotest.(check string) "probe node" "out" out;
+  let session =
+    Miller_tb.session ~conditions:fast_conditions Miller.default_params
+  in
   soundness_case ~name:"miller" ~samples:1000 ~seed:2009 ~k:0.5
-    ~conditions:fast_conditions ~circuit
-    ~bode_of_circuit:(Miller_tb.bode_of_circuit ~conditions:fast_conditions)
+    ~conditions:fast_conditions ~circuit:(Miller_tb.session_circuit session)
+    ~bode_in_session:(Miller_tb.bode_in_session session)
     ()
 
 (* ---------- verdicts and golden lint fixtures ---------- *)

@@ -1,7 +1,8 @@
 (* Tests for the solver-agnostic Linsys seam: dense/csr kernel equivalence
    on random sparse systems, circuit-level dense<->csr equivalence (DC, AC,
    transient), symbolic-cache reuse, and byte-identity of the
-   Variation.overrides patching path against full circuit rebuilds. *)
+   Variation.overrides patching path against full circuit rebuilds
+   (Variation.apply_overrides, the test oracle). *)
 
 module Vec = Yield_numeric.Vec
 module Mat = Yield_numeric.Mat
@@ -310,8 +311,8 @@ let test_session_pattern_cache () =
            || Ota_tb.session_sys s == Ota_tb.session_sys s_csr)))
     sessions
 
-(* byte-identity of the batch patching path against the rebuild path: same
-   rng state in, bit-identical perf out (the tentpole's contract) *)
+(* byte-identity of the batch patching path against the rebuild oracle:
+   same models in, bit-identical perf out *)
 let check_perf_bits name p_rebuild p_session =
   match (p_rebuild, p_session) with
   | None, None -> ()
@@ -328,13 +329,25 @@ let check_perf_bits name p_rebuild p_session =
   | Some _, None | None, Some _ ->
       Alcotest.fail (name ^ ": rebuild and session paths disagree on failure")
 
+(* the rebuild oracle: bake the sample's models into a fresh circuit with
+   [apply_overrides], then run the unpatched, session-less DC + AC solve *)
+let rebuild_perf fresh models =
+  let c = Variation.apply_overrides fresh models in
+  let conditions = Gtb.default_conditions in
+  match Dcop.solve_with_retry c with
+  | Error _ -> None
+  | Ok op ->
+      Gtb.perf_of_bode conditions
+        (Ac.transfer_by_name c op ~out:"out" ~freqs:(Gtb.freqs_of conditions))
+
 let test_ota_overrides_bit_identical () =
   let params = Yield_circuits.Ota.default_params in
   let session = Ota_tb.session params in
   for seed = 11 to 15 do
+    let fresh, _ = Ota_tb.build params in
     let rebuild =
-      Ota_tb.evaluate_sampled ~spec:Variation.default_spec
-        ~rng:(Rng.create seed) params
+      rebuild_perf fresh
+        (Variation.overrides Variation.default_spec (Rng.create seed) fresh)
     in
     let patched =
       Ota_tb.evaluate_in_session session ~spec:Variation.default_spec
@@ -347,15 +360,41 @@ let test_miller_overrides_bit_identical () =
   let params = Yield_circuits.Miller.default_params in
   let session = Miller_tb.session params in
   for seed = 11 to 15 do
+    let fresh, _ = Miller_tb.build params in
     let rebuild =
-      Miller_tb.evaluate_sampled ~spec:Variation.default_spec
-        ~rng:(Rng.create seed) params
+      rebuild_perf fresh
+        (Variation.overrides Variation.default_spec (Rng.create seed) fresh)
     in
     let patched =
       Miller_tb.evaluate_in_session session ~spec:Variation.default_spec
         ~rng:(Rng.create seed)
     in
     check_perf_bits (Printf.sprintf "miller seed %d" seed) rebuild patched
+  done
+
+(* evaluate_with_draw (session + overrides_with_draw, mismatch zeroed)
+   against the rebuild oracle on the same models *)
+let test_with_draw_bit_identical () =
+  let spec = Variation.default_spec in
+  let no_mismatch =
+    { spec with Variation.mismatch = Variation.zero_spec.Variation.mismatch }
+  in
+  let oracle fresh draw =
+    rebuild_perf fresh
+      (Variation.overrides_with_draw no_mismatch draw (Rng.create 0) fresh)
+  in
+  for seed = 21 to 23 do
+    let draw = Variation.draw_global spec (Rng.create seed) in
+    let ota = Yield_circuits.Ota.default_params in
+    check_perf_bits
+      (Printf.sprintf "ota draw %d" seed)
+      (oracle (fst (Ota_tb.build ota)) draw)
+      (Ota_tb.evaluate_with_draw ~spec ~draw ota);
+    let miller = Yield_circuits.Miller.default_params in
+    check_perf_bits
+      (Printf.sprintf "miller draw %d" seed)
+      (oracle (fst (Miller_tb.build miller)) draw)
+      (Miller_tb.evaluate_with_draw ~spec ~draw miller)
   done
 
 let suites =
@@ -383,5 +422,7 @@ let suites =
           test_ota_overrides_bit_identical;
         Alcotest.test_case "miller overrides bit-identical" `Quick
           test_miller_overrides_bit_identical;
+        Alcotest.test_case "with_draw bit-identical (ota, miller)" `Quick
+          test_with_draw_bit_identical;
       ] );
   ]

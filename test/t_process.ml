@@ -51,13 +51,15 @@ let test_scale_spec () =
     (2. *. Variation.default_spec.Variation.mismatch.Variation.avt_n)
     spec.Variation.mismatch.Variation.avt_n
 
-let test_perturb_circuit_structure () =
+let test_apply_overrides_structure () =
   let c = Circuit.create () in
   Circuit.add_vsource c ~name:"V1" "vdd" "0" 3.3;
   Circuit.add_mosfet c ~name:"M1" ~d:"vdd" ~g:"vdd" ~s:"0" ~b:"0"
     ~model:Tech.c35.Tech.nmos ~w:10e-6 ~l:1e-6;
   let rng = Rng.create 5 in
-  let p = Variation.perturb_circuit Variation.default_spec rng c in
+  let p =
+    Variation.apply_overrides c (Variation.overrides Variation.default_spec rng c)
+  in
   Alcotest.(check int) "device count preserved" 2 (Array.length (Circuit.devices p));
   (* original untouched *)
   (match Circuit.find_device c "M1" with
@@ -158,11 +160,12 @@ let test_mc_parallel_circuit_evaluation () =
   (* the real workload: perturbed circuit evaluations across domains *)
   let params = Yield_circuits.Ota.default_params in
   let spec = Variation.default_spec in
+  let session = Yield_circuits.Ota_testbench.session params in
   let eval r =
     Option.map
       (fun (p : Yield_circuits.Ota_testbench.perf) ->
         p.Yield_circuits.Ota_testbench.gain_db)
-      (Yield_circuits.Ota_testbench.evaluate_sampled ~spec ~rng:r params)
+      (Yield_circuits.Ota_testbench.evaluate_in_session session ~spec ~rng:r)
   in
   let serial = Montecarlo.run ~samples:8 ~rng:(Rng.create 9) eval in
   let parallel =
@@ -215,7 +218,7 @@ let suites =
         Alcotest.test_case "pelgrom scaling" `Quick test_pelgrom_scaling;
         Alcotest.test_case "zero spec identity" `Quick test_zero_spec_is_identity;
         Alcotest.test_case "scale_spec" `Quick test_scale_spec;
-        Alcotest.test_case "perturb circuit" `Quick test_perturb_circuit_structure;
+        Alcotest.test_case "perturb circuit" `Quick test_apply_overrides_structure;
         Alcotest.test_case "perturbation statistics" `Slow
           test_perturbation_statistics;
       ] );
