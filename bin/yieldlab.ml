@@ -44,7 +44,7 @@ module Config_lint = Yield_analyse.Config_lint
 module Ac_tran_lint = Yield_analyse.Ac_tran_lint
 module Corner_lint = Yield_analyse.Corner_lint
 module Va_lint = Yield_analyse.Va_lint
-module Baseline = Yield_analyse.Baseline
+module Suppression = Yield_analyse.Suppression
 module Sarif = Yield_analyse.Sarif
 
 open Cmdliner
@@ -957,22 +957,49 @@ let netlist_run ~print path =
           0
     end
   | text -> begin
-      match Netlist.parse_with_analyses text with
+      match
+        Yield_spice.Netlist_elab.elaborate (Yield_spice.Netlist_parser.parse text)
+      with
       | exception Netlist.Parse_error { span; message } ->
           Printf.eprintf "%s:%d:%d: %s\n" path span.Netlist_ast.start_line
             span.Netlist_ast.start_col message;
           1
-      | circuit, analyses -> begin
-          match Dcop.solve circuit with
-          | Error e ->
-              prerr_endline (Dcop.error_to_string e);
-              1
-          | Ok op ->
-              (* the operating point is always reported; analysis cards run
-                 in order afterwards *)
-              if analyses = [] then Format.printf "%a@." (Dcop.pp circuit) op
-              else List.iter (run_analysis circuit op) analyses;
-              0
+      | circuit, cards -> begin
+          (* the elaborator interns every name a card mentions, so a probe
+             no device touches would print gmin noise: refuse the card,
+             by the same test the A002/R004/S001 lint findings use *)
+          let unknown_probes =
+            List.filter_map
+              (fun (analysis, (span : Netlist_ast.span)) ->
+                match analysis with
+                | Netlist.Ac_analysis { out; _ }
+                | Netlist.Tran_analysis { out; _ }
+                | Netlist.Dc_analysis { out; _ }
+                  when not (Yield_analyse.Ac_tran_lint.probe_is_known circuit out) ->
+                    Some (span, out)
+                | _ -> None)
+              cards
+          in
+          if unknown_probes <> [] then begin
+            List.iter
+              (fun ((span : Netlist_ast.span), out) ->
+                Printf.eprintf
+                  "%s:%d:%d: output node %s is not referenced by any device\n"
+                  path span.start_line span.start_col out)
+              unknown_probes;
+            1
+          end
+          else
+            match Dcop.solve circuit with
+            | Error e ->
+                prerr_endline (Dcop.error_to_string e);
+                1
+            | Ok op ->
+                (* the operating point is always reported; analysis cards
+                   run in order afterwards *)
+                if cards = [] then Format.printf "%a@." (Dcop.pp circuit) op
+                else List.iter (fun (a, _) -> run_analysis circuit op a) cards;
+                0
         end
     end
 
@@ -1039,16 +1066,16 @@ let report_diags ?sarif ?baseline ?(write_baseline = false) ~json diags =
         Error "--write-baseline needs --baseline FILE to know where to write"
     | None, false -> Ok (diags, [], false)
     | Some path, true ->
-        let b = Baseline.of_diags diags in
-        Baseline.save ~path b;
+        let b = Suppression.of_diags diags in
+        Suppression.save ~path b;
         Printf.eprintf "wrote baseline %s (%d fingerprint(s))\n" path
-          (List.length (Baseline.fingerprints b));
+          (List.length (Suppression.fingerprints b));
         Ok (diags, [], true)
     | Some path, false -> begin
-        match Baseline.load ~path with
+        match Suppression.load ~path with
         | Error msg -> Error ("cannot load baseline: " ^ msg)
         | Ok b ->
-            let fresh, suppressed = Baseline.partition b diags in
+            let fresh, suppressed = Suppression.partition b diags in
             Ok (fresh, suppressed, false)
       end
   in

@@ -1,5 +1,6 @@
 module Circuit = Yield_spice.Circuit
 module Device = Yield_spice.Device
+module Topology = Yield_spice.Topology
 
 let diag = Diagnostic.make
 
@@ -22,6 +23,8 @@ let known_node_names circuit =
   seen
 
 let is_ground_name name = name = "0" || name = "gnd" || name = "GND"
+
+let probe_is_known circuit name = Hashtbl.mem (known_node_names circuit) name
 
 let ac_excited_sources circuit =
   Array.to_list (Circuit.devices circuit)
@@ -63,19 +66,6 @@ let signal_edges circuit =
 
 (* ---------- interval time-constant bounds ---------- *)
 
-(* union-find for merging vsource-tied nodes into one dynamic component *)
-let rec uf_find parent i =
-  let p = parent.(i) in
-  if p = i then i
-  else begin
-    parent.(i) <- parent.(p);
-    uf_find parent parent.(i)
-  end
-
-let uf_union parent a b =
-  let ra = uf_find parent a and rb = uf_find parent b in
-  if ra <> rb then parent.(ra) <- rb
-
 (* Per-component RC/gm-C time-constant enclosures.
 
    Each non-ground node accumulates an interval of capacitance-to-anywhere
@@ -99,6 +89,7 @@ let time_constants circuit =
   let czero = Interval.zero in
   let caps = Array.make n czero in
   let conds = Array.make n czero in
+  (* vsource-tied nodes merge into one dynamic component *)
   let parent = Array.init n Fun.id in
   let acc arr node i =
     if node <> Device.ground then arr.(node) <- Interval.add arr.(node) i
@@ -116,7 +107,7 @@ let time_constants circuit =
             acc conds n1 g;
             acc conds n2 g
           end
-      | Device.Vsource { npos; nneg; _ } -> uf_union parent npos nneg
+      | Device.Vsource { npos; nneg; _ } -> Topology.union parent npos nneg
       | Device.Mosfet { d; g; s; b; model; w; l; _ } ->
           let open Yield_spice.Mosfet in
           let up hi = Interval.make 0. (Float.max 0. hi) in
@@ -135,10 +126,10 @@ let time_constants circuit =
           end
       | Device.Isource _ | Device.Vccs _ -> ())
     (Circuit.devices circuit);
-  let ground_root = uf_find parent Device.ground in
+  let ground_root = Topology.find parent Device.ground in
   let comp_c = Hashtbl.create 8 and comp_g = Hashtbl.create 8 in
   for node = 1 to n - 1 do
-    let root = uf_find parent node in
+    let root = Topology.find parent node in
     if root <> ground_root then begin
       let get tbl = Option.value (Hashtbl.find_opt tbl root) ~default:czero in
       Hashtbl.replace comp_c root (Interval.add (get comp_c) caps.(node));
@@ -273,13 +264,23 @@ let check_tran ?file ?span circuit ~known ~dt ~t_stop ~out =
             ".tran output node %s is not referenced by any device" out));
   List.rev !findings
 
+let check_dc ?file ?span ~known out =
+  if Hashtbl.mem known out then []
+  else
+    [
+      diag ?file ?span ~code:"S001" ~severity:Diagnostic.Error ~subject:out
+        (Printf.sprintf ".dc output node %s is not referenced by any device"
+           out);
+    ]
+
 let check_one ?file ?span circuit ~known analysis =
   match (analysis : Yield_spice.Netlist_elab.analysis) with
   | Ac_analysis { per_decade; f_lo; f_hi; out } ->
       check_ac ?file ?span circuit ~known ~per_decade ~f_lo ~f_hi ~out
   | Tran_analysis { dt; t_stop; out } ->
       check_tran ?file ?span circuit ~known ~dt ~t_stop ~out
-  | Op | Dc_analysis _ -> []
+  | Dc_analysis { out; _ } -> check_dc ?file ?span ~known out
+  | Op -> []
 
 let check ?file circuit analyses =
   let known = known_node_names circuit in

@@ -1,8 +1,8 @@
-(** Analysis-card preconditions: can the declared [.ac] / [.tran] sweep
+(** Analysis-card preconditions: can the declared [.ac] / [.tran] / [.dc] sweep
     actually observe anything, given the circuit structure and the interval
     enclosure of its time constants?
 
-    Codes (A = AC sweep, R = transient):
+    Codes (A = AC sweep, R = transient, S = DC sweep):
 
     - [A001] (error)   [.ac] with no AC-excited source — zero transfer
     - [A002] (error)   [.ac] output node unknown (warning when it is ground)
@@ -17,6 +17,7 @@
     - [R003] (warning) no time-varying stimulus — the waveform is a decay to
                        the operating point
     - [R004] (error)   [.tran] output node unknown
+    - [S001] (error)   [.dc] output node unknown
 
     "Provably" is backed by {!Interval}: reachability is a fixpoint over the
     signal-flow graph, and time constants are outward-rounded [C/G]
@@ -28,8 +29,14 @@ val check :
   Yield_spice.Circuit.t ->
   Yield_spice.Netlist.analysis list ->
   Diagnostic.t list
-(** Findings for every [.ac] / [.tran] card, in card order; [.op] and [.dc]
+(** Findings for every [.ac] / [.tran] / [.dc] card, in card order; [.op]
     cards produce nothing. *)
+
+val probe_is_known : Yield_spice.Circuit.t -> string -> bool
+(** The node name is ground or referenced by some device terminal.  The
+    elaborator interns any name a card mentions, so an analysis probing an
+    untouched node would solve to gmin noise: the A002/R004/S001 findings
+    and [yieldlab netlist]'s refusal of such a card share this test. *)
 
 val check_file : string -> Diagnostic.t list
 (** Parse to the AST, elaborate and {!check} one netlist file; every

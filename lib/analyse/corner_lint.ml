@@ -30,7 +30,6 @@ module Vec = Yield_numeric.Vec
 module Mat = Yield_numeric.Mat
 module Lu = Yield_numeric.Lu
 module Linsys = Yield_numeric.Linsys
-module Cmat = Yield_numeric.Cmat
 module Circuit = Yield_spice.Circuit
 module Device = Yield_spice.Device
 module Mosfet = Yield_spice.Mosfet
@@ -74,6 +73,10 @@ let mag (i : I.t) = Float.max (Float.abs i.I.lo) (Float.abs i.I.hi)
 let i_max_const c (i : I.t) = I.make (Float.max c i.I.lo) (Float.max c i.I.hi)
 
 let pad_abs d (i : I.t) = I.make (i.I.lo -. d) (i.I.hi +. d)
+
+(* the one midpoint expression: slice centres, the Newton and Krawczyk
+   centre point and the AC midpoint system all use it *)
+let mid (i : I.t) = 0.5 *. (i.I.lo +. i.I.hi)
 
 (* ---------- complex rectangles ---------- *)
 
@@ -122,16 +125,13 @@ type slice = { s_n : I.t; s_p : I.t }
 
 let imodel_of ~k ~spec ~slice (m : Mosfet.model) ~w ~l =
   let g = spec.Variation.global in
-  let mm = spec.Variation.mismatch in
-  let gvth, sg_kp, a_beta =
+  let gvth, sg_kp =
     match m.Mosfet.polarity with
-    | Mosfet.Nmos -> (slice.s_n, g.Variation.sigma_kp_rel_n, mm.Variation.abeta_n)
-    | Mosfet.Pmos -> (slice.s_p, g.Variation.sigma_kp_rel_p, mm.Variation.abeta_p)
+    | Mosfet.Nmos -> (slice.s_n, g.Variation.sigma_kp_rel_n)
+    | Mosfet.Pmos -> (slice.s_p, g.Variation.sigma_kp_rel_p)
   in
   let sm_vth = Variation.mismatch_sigma_vth spec m.Mosfet.polarity ~w ~l in
-  (* same float expression perturb_model uses (mismatch_sigma_beta is not
-     exported); the box must contain the sigma the sampler multiplies by *)
-  let sm_beta = a_beta /. sqrt (w *. l) in
+  let sm_beta = Variation.mismatch_sigma_beta spec m.Mosfet.polarity ~w ~l in
   let kk = I.of_bounds (-.k) k in
   (* a sample's delta is z_g * sigma_g +. z_m * sigma_m with |z| <= k; the
      global vth part is restricted to this slice's range *)
@@ -305,11 +305,16 @@ type mos_entry = {
   e_imodel : imodel;
 }
 
-let mos_entries ~k ~spec ~slice circuit =
+(* One entry per MOSFET, in device order.  [models] overrides device models
+   exactly as in the sampled solve ({!Mna.model_override}); [imodel] turns
+   the effective model into its parameter box. *)
+let mos_entries ?models circuit imodel =
   Array.to_list (Circuit.devices circuit)
-  |> List.filter_map (fun dev ->
+  |> List.mapi (fun di dev -> (di, dev))
+  |> List.filter_map (fun (di, dev) ->
          match dev with
          | Device.Mosfet { name; d; g; s; b; model; w; l } ->
+             let model = Mna.model_override models di model in
              Some
                {
                  e_name = name;
@@ -320,11 +325,23 @@ let mos_entries ~k ~spec ~slice circuit =
                  e_model = model;
                  e_w = w;
                  e_l = l;
-                 e_imodel = imodel_of ~k ~spec ~slice model ~w ~l;
+                 e_imodel = imodel model ~w ~l;
                }
          | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
          | Device.Isource _ | Device.Vccs _ ->
              None)
+
+(* the parameter box collapsed to the model's own point: evaluating the
+   residual with these entries at the Newton solution x0 of the
+   (slice-centred) models yields F(x0, p_mid), which is rounding-noise
+   wide *)
+let point_imodel (m : Mosfet.model) ~w:_ ~l:_ =
+  {
+    base = m;
+    m_vth0 = ipt m.Mosfet.vth0;
+    m_kp = ipt m.Mosfet.kp;
+    m_lambda0 = ipt m.Mosfet.lambda0;
+  }
 
 (* normalised terminal intervals and the device-convention drain current,
    mirroring Mna.mos_linearise *)
@@ -346,24 +363,11 @@ let mos_iop_at (e : mos_entry) (x : I.t array) =
 
 let imat n = Array.init n (fun _ -> Array.make n I.zero)
 
-let istamp_g m a b g =
-  let add i j v = m.(i).(j) <- I.add m.(i).(j) v in
-  if a <> Device.ground then add (a - 1) (a - 1) g;
-  if b <> Device.ground then add (b - 1) (b - 1) g;
-  if a <> Device.ground && b <> Device.ground then begin
-    add (a - 1) (b - 1) (I.neg g);
-    add (b - 1) (a - 1) (I.neg g)
-  end
-
-let istamp_gm m op_node on_node cp cn g =
-  let entry row col v =
-    if row <> Device.ground && col <> Device.ground then
-      m.(row - 1).(col - 1) <- I.add m.(row - 1).(col - 1) v
-  in
-  entry op_node cp g;
-  entry op_node cn (I.neg g);
-  entry on_node cp (I.neg g);
-  entry on_node cn g
+(* Interval accumulator for Mna's float stamps called with a unit value:
+   each entry adds [v] or its exact negation, by the sign the stamp gave
+   it, so the same I.add sequence runs as the float stamp's adds *)
+let iacc (m : I.t array array) v i j sign =
+  m.(i).(j) <- I.add m.(i).(j) (if sign > 0. then v else I.neg v)
 
 let iinject rhs node v =
   if node <> Device.ground then rhs.(node - 1) <- I.add rhs.(node - 1) v
@@ -381,24 +385,19 @@ let assemble_linear_dc circuit layout ~gmin =
   Array.iter
     (fun dev ->
       match dev with
-      | Device.Resistor { n1; n2; ohms; _ } -> istamp_g a n1 n2 (I.div (ipt 1.) (ipt ohms))
+      | Device.Resistor { n1; n2; ohms; _ } ->
+          Mna.stamp_conductance (iacc a (I.div (ipt 1.) (ipt ohms))) n1 n2 1.
       | Device.Capacitor _ -> ()
       | Device.Vsource { name; npos; nneg; dc; _ } ->
+          Mna.stamp_branch (iacc a (ipt 1.)) layout ~name ~npos ~nneg;
           let br = Mna.branch_index layout name in
-          if npos <> Device.ground then begin
-            a.(npos - 1).(br) <- I.add a.(npos - 1).(br) (ipt 1.);
-            a.(br).(npos - 1) <- I.add a.(br).(npos - 1) (ipt 1.)
-          end;
-          if nneg <> Device.ground then begin
-            a.(nneg - 1).(br) <- I.add a.(nneg - 1).(br) (ipt (-1.));
-            a.(br).(nneg - 1) <- I.add a.(br).(nneg - 1) (ipt (-1.))
-          end;
           b.(br) <- I.add b.(br) (ipt dc)
       | Device.Isource { npos; nneg; dc; _ } ->
           iinject b npos (ipt (-.dc));
           iinject b nneg (ipt dc)
       | Device.Vccs { out_p; out_n; in_p; in_n; gm; _ } ->
-          istamp_gm a out_p out_n in_p in_n (ipt gm)
+          Mna.stamp_transconductance (iacc a (ipt gm)) ~out_p ~out_n ~in_p
+            ~in_n 1.
       | Device.Mosfet _ -> ())
     (Circuit.devices circuit);
   (a, b)
@@ -427,36 +426,6 @@ let residual ~lin:(a0, b0) ~moses x =
    on the true solutions the Krawczyk box bounds *)
 let dc_pad = 1e-6
 
-(* entries whose parameter boxes are the (already slice-centred) model
-   points: evaluating the residual with these at the Newton solution x0
-   yields F(x0, p_mid), which is rounding-noise wide *)
-let point_entries circuit =
-  Array.to_list (Circuit.devices circuit)
-  |> List.filter_map (fun dev ->
-         match dev with
-         | Device.Mosfet { name; d; g; s; b; model; w; l } ->
-             Some
-               {
-                 e_name = name;
-                 e_d = d;
-                 e_g = g;
-                 e_s = s;
-                 e_b = b;
-                 e_model = model;
-                 e_w = w;
-                 e_l = l;
-                 e_imodel =
-                   {
-                     base = model;
-                     m_vth0 = ipt model.Mosfet.vth0;
-                     m_kp = ipt model.Mosfet.kp;
-                     m_lambda0 = ipt model.Mosfet.lambda0;
-                   };
-               }
-         | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
-         | Device.Isource _ | Device.Vccs _ ->
-             None)
-
 (* One independent direction of the parameter box: [a_delta] is its centred
    range and [a_dev] the enclosure of d ids_eff / d axis for each MOS
    entry (moses order; zero when the device does not depend on the axis).
@@ -481,21 +450,18 @@ let c_zero = { c_gm = 0.; c_rest = I.zero }
 let axis_data ~k ~spec ~slice ~moses ~x =
   let kk = I.of_bounds (-.k) k in
   let g = spec.Variation.global in
-  let mm = spec.Variation.mismatch in
   let per_dev =
     List.map
       (fun e ->
         let op0, ids_eff0 = mos_iop_at e x in
-        let s_pol, sg_kp, a_beta =
-          match e.e_model.Mosfet.polarity with
-          | Mosfet.Nmos -> (1., g.Variation.sigma_kp_rel_n, mm.Variation.abeta_n)
-          | Mosfet.Pmos -> (-1., g.Variation.sigma_kp_rel_p, mm.Variation.abeta_p)
+        let pol = e.e_model.Mosfet.polarity in
+        let s_pol, sg_kp =
+          match pol with
+          | Mosfet.Nmos -> (1., g.Variation.sigma_kp_rel_n)
+          | Mosfet.Pmos -> (-1., g.Variation.sigma_kp_rel_p)
         in
-        let sm_vth =
-          Variation.mismatch_sigma_vth spec e.e_model.Mosfet.polarity ~w:e.e_w
-            ~l:e.e_l
-        in
-        let sm_beta = a_beta /. sqrt (e.e_w *. e.e_l) in
+        let sm_vth = Variation.mismatch_sigma_vth spec pol ~w:e.e_w ~l:e.e_l in
+        let sm_beta = Variation.mismatch_sigma_beta spec pol ~w:e.e_w ~l:e.e_l in
         let dkp_tot = I.add (I.mul kk (ipt sg_kp)) (I.mul kk (ipt sm_beta)) in
         (* d ids_eff / d dvth = -s gm is kept factored as a coefficient on
            the device's own gm ([c_gm]): in the mean-value weights it then
@@ -551,12 +517,11 @@ let axis_data ~k ~spec ~slice ~moses ~x =
         ])
       per_dev
   in
-  (* same midpoint expression shift_circuit centred the models at, so the
+  (* centred at the same [mid] slice_models shifts the models by, so the
      centred global ranges line up with F(x0, p_mid) *)
-  let mid (i : I.t) = ipt (0.5 *. (i.I.lo +. i.I.hi)) in
   let axes =
-    by_pol Mosfet.Nmos (I.sub slice.s_n (mid slice.s_n)) d_vth_of
-    @ by_pol Mosfet.Pmos (I.sub slice.s_p (mid slice.s_p)) d_vth_of
+    by_pol Mosfet.Nmos (I.sub slice.s_n (ipt (mid slice.s_n))) d_vth_of
+    @ by_pol Mosfet.Pmos (I.sub slice.s_p (ipt (mid slice.s_p))) d_vth_of
     @ by_pol Mosfet.Nmos (I.mul kk (ipt g.Variation.sigma_kp_rel_n)) d_kp_of
     @ by_pol Mosfet.Pmos (I.mul kk (ipt g.Variation.sigma_kp_rel_p)) d_kp_of
     @ lam @ mism
@@ -586,7 +551,7 @@ let axis_data ~k ~spec ~slice ~moses ~x =
    structures).  K(U) strictly inside U proves each parameter combination
    in the box has exactly one solution through the tube, and the box hull
    x0 + S dp + K(U) encloses them all. *)
-let krawczyk circuit layout ~lin ~moses ~k ~spec ~slice ~x0 =
+let krawczyk circuit layout ~models ~lin ~moses ~k ~spec ~slice ~x0 =
   let n = Mna.size layout in
   (* Y = J(x0)^-1 column by column through a dense workspace: the same
      Lu.factor / Lu.solve on the same assembled Jacobian.  Its stamps are
@@ -602,7 +567,9 @@ let krawczyk circuit layout ~lin ~moses ~k ~spec ~slice ~x0 =
           Mat.add_to gmat i j v);
     }
   in
-  ignore (Mna.assemble_dc ws circuit layout ~x:x0 ~source_scale:1. ~gmin:1e-12);
+  ignore
+    (Mna.assemble_dc ws ~models circuit layout ~x:x0 ~source_scale:1.
+       ~gmin:1e-12);
   let ycols =
     Array.init n (fun j ->
         let e = Vec.create n in
@@ -613,7 +580,7 @@ let krawczyk circuit layout ~lin ~moses ~k ~spec ~slice ~x0 =
   let yat i node = if node = Device.ground then 0. else yv i (node - 1) in
   let ydiff i (e : mos_entry) = I.sub (ipt (yat i e.e_d)) (ipt (yat i e.e_s)) in
   let x0i = Array.map ipt x0 in
-  let pts = point_entries circuit in
+  let pts = mos_entries ~models circuit point_imodel in
   let f0mid = residual ~lin ~moses:pts x0i in
   let yf0mid =
     Array.init n (fun i ->
@@ -631,7 +598,6 @@ let krawczyk circuit layout ~lin ~moses ~k ~spec ~slice ~x0 =
         let s = Array.make n 0. in
         List.iter2
           (fun ((e : mos_entry), (op : iop)) (c : dcontrib) ->
-            let mid (i : I.t) = 0.5 *. (i.I.lo +. i.I.hi) in
             let dm = (c.c_gm *. mid op.o_gm) +. mid c.c_rest in
             if dm <> 0. then
               for i = 0 to n - 1 do
@@ -806,7 +772,7 @@ let krawczyk circuit layout ~lin ~moses ~k ~spec ~slice ~x0 =
 
 (* ---------- AC interval solve ---------- *)
 
-(* relative slop on the response rectangle: the sampled Cmat.solve is a
+(* relative slop on the response rectangle: the sampled complex solve is a
    float LU whose forward error (cond * n * eps) can reach ~1e-6 on the
    stiffest low-frequency systems; 1e-5 covers it with margin *)
 let ac_slop_rel = 1e-5
@@ -821,67 +787,59 @@ let assemble_ac_intervals circuit layout ~iops =
   Array.iter
     (fun dev ->
       match dev with
-      | Device.Resistor { n1; n2; ohms; _ } -> istamp_g g n1 n2 (I.div (ipt 1.) (ipt ohms))
-      | Device.Capacitor { n1; n2; farads; _ } -> istamp_g c n1 n2 (ipt farads)
+      | Device.Resistor { n1; n2; ohms; _ } ->
+          Mna.stamp_conductance (iacc g (I.div (ipt 1.) (ipt ohms))) n1 n2 1.
+      | Device.Capacitor { n1; n2; farads; _ } ->
+          Mna.stamp_conductance (iacc c (ipt farads)) n1 n2 1.
       | Device.Vsource { name; npos; nneg; ac; _ } ->
-          let br = Mna.branch_index layout name in
-          if npos <> Device.ground then begin
-            g.(npos - 1).(br) <- I.add g.(npos - 1).(br) (ipt 1.);
-            g.(br).(npos - 1) <- I.add g.(br).(npos - 1) (ipt 1.)
-          end;
-          if nneg <> Device.ground then begin
-            g.(nneg - 1).(br) <- I.add g.(nneg - 1).(br) (ipt (-1.));
-            g.(br).(nneg - 1) <- I.add g.(br).(nneg - 1) (ipt (-1.))
-          end;
-          rhs.(br) <- { cre = ipt ac; cim = I.zero }
+          Mna.stamp_branch (iacc g (ipt 1.)) layout ~name ~npos ~nneg;
+          rhs.(Mna.branch_index layout name) <- { cre = ipt ac; cim = I.zero }
       | Device.Isource { npos; nneg; ac; _ } ->
           if npos <> Device.ground then
             rhs.(npos - 1) <- ci_add rhs.(npos - 1) { cre = ipt (-.ac); cim = I.zero };
           if nneg <> Device.ground then
             rhs.(nneg - 1) <- ci_add rhs.(nneg - 1) { cre = ipt ac; cim = I.zero }
       | Device.Vccs { out_p; out_n; in_p; in_n; gm; _ } ->
-          istamp_gm g out_p out_n in_p in_n (ipt gm)
+          Mna.stamp_transconductance (iacc g (ipt gm)) ~out_p ~out_n ~in_p
+            ~in_n 1.
       | Device.Mosfet _ -> ())
     (Circuit.devices circuit);
   List.iter
     (fun ((e : mos_entry), (op : iop)) ->
-      istamp_gm g e.e_d e.e_s e.e_g e.e_s op.o_gm;
-      istamp_g g e.e_d e.e_s op.o_gds;
-      istamp_gm g e.e_d e.e_s e.e_b e.e_s op.o_gmb;
-      istamp_g c e.e_g e.e_s op.o_cgs;
-      istamp_g c e.e_g e.e_d op.o_cgd;
-      istamp_g c e.e_d e.e_b op.o_cdb;
-      istamp_g c e.e_s e.e_b op.o_csb)
+      let gm v out_p in_p =
+        Mna.stamp_transconductance (iacc g v) ~out_p ~out_n:e.e_s ~in_p
+          ~in_n:e.e_s 1.
+      in
+      let cond m v a b = Mna.stamp_conductance (iacc m v) a b 1. in
+      gm op.o_gm e.e_d e.e_g;
+      cond g op.o_gds e.e_d e.e_s;
+      gm op.o_gmb e.e_d e.e_b;
+      cond c op.o_cgs e.e_g e.e_s;
+      cond c op.o_cgd e.e_g e.e_d;
+      cond c op.o_cdb e.e_d e.e_b;
+      cond c op.o_csb e.e_s e.e_b)
     iops;
   for i = 0 to Mna.n_nodes layout - 1 do
     g.(i).(i) <- I.add g.(i).(i) (ipt 1e-12)
   done;
   (g, c, rhs)
 
-let midpoint_mat n (a : I.t array array) =
-  let m = Mat.create n n in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Mat.set m i j (0.5 *. (a.(i).(j).I.lo +. a.(i).(j).I.hi))
-    done
-  done;
-  m
-
 (* Rump-style verified solve of (G + jwC) x = b over the intervals at one
    frequency: xm = midpoint solve, E' = Yc (b - A xm) + (I - Yc A) E with
    epsilon inflation until E' is interior; then x in xm + E'. Returns the
    response rectangle at [out_idx], or None when verification fails. *)
-let solve_freq ~n ~gint ~cint ~gmid ~cmid ~rhs_i ~rhs_c ~out_idx freq =
+let solve_freq ~n ~gint ~cint ~(mid_sys : Linsys.complex_sys) ~rhs_i ~rhs_c
+    ~out_idx freq =
   let omega_f = 2. *. Float.pi *. freq in
   let omega_i = I.mul (I.mul (ipt 2.) (ipt Float.pi)) (ipt freq) in
   match
-    let m = Cmat.of_real ~imag_scale:omega_f gmid cmid in
-    let xm = Cmat.solve m rhs_c in
+    let solve = mid_sys.Linsys.factor ~omega:omega_f in
+    let xm = solve rhs_c in
     let ycols =
       Array.init n (fun j ->
           let e = Array.make n Complex.zero in
           e.(j) <- Complex.one;
-          Cmat.solve m e)
+          solve e)
     in
     (xm, ycols)
   with
@@ -1161,21 +1119,22 @@ let slice_grid ~k ~spec ~need_n ~need_p m =
   |> List.concat_map (fun sn ->
          Array.to_list ps |> List.map (fun sp -> { s_n = sn; s_p = sp }))
 
-(* re-centre the circuit's models at a slice's midpoint so the per-slice
-   Newton solve (and the Krawczyk preconditioner built from it) sits in the
-   middle of the sub-box *)
-let shift_circuit circuit slice =
-  let mid (i : I.t) = 0.5 *. (i.I.lo +. i.I.hi) in
+(* the circuit's models re-centred at a slice's midpoint, as per-device
+   overrides, so the per-slice Newton solve (and the Krawczyk
+   preconditioner built from it) sits in the middle of the sub-box *)
+let slice_models circuit slice : Mna.models =
   let cn = mid slice.s_n and cp = mid slice.s_p in
-  Circuit.map_devices circuit (fun dev ->
-      match dev with
-      | Device.Mosfet ({ model; _ } as r) ->
+  Array.map
+    (function
+      | Device.Mosfet { model; _ } ->
           let dvth =
             match model.Mosfet.polarity with Mosfet.Nmos -> cn | Mosfet.Pmos -> cp
           in
-          Device.Mosfet
-            { r with model = Mosfet.with_deltas model ~dvth ~dkp_rel:0. ~dlambda_rel:0. }
-      | d -> d)
+          Some (Mosfet.with_deltas model ~dvth ~dkp_rel:0. ~dlambda_rel:0.)
+      | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
+      | Device.Isource _ | Device.Vccs _ ->
+          None)
+    (Circuit.devices circuit)
 
 (* hull the per-slice interval operating points of one device, for the
    D-code proof over the whole box *)
@@ -1199,20 +1158,21 @@ let hull_enclosure a b =
 let ac_enclosures circuit layout ~iops ~freqs ~out_idx ~note =
   let n = Mna.size layout in
   let gint, cint, rhs_i = assemble_ac_intervals circuit layout ~iops in
-  let gmid = midpoint_mat n gint in
-  let cmid = midpoint_mat n cint in
+  (* the midpoint system in a dense workspace: per frequency it runs the
+     sampled sweep's own of_real + LU solve per right-hand side *)
+  let mid_sys = Linsys.complex (Linsys.dense_of_size n) in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      mid_sys.Linsys.add_g i j (mid gint.(i).(j));
+      mid_sys.Linsys.add_c i j (mid cint.(i).(j))
+    done
+  done;
   let rhs_c =
-    Array.map
-      (fun (v : ci) ->
-        {
-          Complex.re = 0.5 *. (v.cre.I.lo +. v.cre.I.hi);
-          im = 0.5 *. (v.cim.I.lo +. v.cim.I.hi);
-        })
-      rhs_i
+    Array.map (fun (v : ci) -> { Complex.re = mid v.cre; im = mid v.cim }) rhs_i
   in
   let resp =
     Array.map
-      (fun freq -> solve_freq ~n ~gint ~cint ~gmid ~cmid ~rhs_i ~rhs_c ~out_idx freq)
+      (fun freq -> solve_freq ~n ~gint ~cint ~mid_sys ~rhs_i ~rhs_c ~out_idx freq)
       freqs
   in
   let missing = Array.fold_left (fun acc r -> if r = None then acc + 1 else acc) 0 resp in
@@ -1269,13 +1229,13 @@ let analyse_circuit ?(k_sigma = 3.) ?(spec = Variation.default_spec) ~window
     (* verify one slice: Newton at the slice's re-centred models, then the
        parametric Krawczyk over the slice's parameter sub-box *)
     let verify slice =
-      let moses = mos_entries ~k:k_sigma ~spec ~slice circuit in
-      let shifted = shift_circuit circuit slice in
-      match Dcop.solve_with_retry shifted with
+      let moses = mos_entries circuit (imodel_of ~k:k_sigma ~spec ~slice) in
+      let models = slice_models circuit slice in
+      match Dcop.solve_with_retry ~models circuit with
       | Error e -> Error ("per-slice DC solve failed: " ^ Dcop.error_to_string e)
       | Ok sol -> (
           match
-            krawczyk shifted layout ~lin ~moses ~k:k_sigma ~spec ~slice
+            krawczyk circuit layout ~models ~lin ~moses ~k:k_sigma ~spec ~slice
               ~x0:sol.Dcop.x
           with
           | None -> Error "Krawczyk operator did not contract"

@@ -49,6 +49,7 @@ let rule_descriptions =
     ("R002", ".tran timestep provably overstepping the fastest time constant");
     ("R003", ".tran analysis with no time-varying stimulus");
     ("R004", ".tran output node unknown");
+    ("S001", ".dc sweep output node unknown");
     ("V000", "Verilog-A file unreadable or unparseable");
     ("V001", "port, direction or discipline inconsistency");
     ("V002", "malformed $table_model call");
@@ -168,7 +169,7 @@ let result ~suppressed (d : Diagnostic.t) =
                     d.Diagnostic.message) );
            ] );
        ( "partialFingerprints",
-         Json.Obj [ ("yieldlab/v1", Json.String (Baseline.fingerprint d)) ] );
+         Json.Obj [ ("yieldlab/v1", Json.String (Suppression.fingerprint d)) ] );
      ]
     @ location d
     @ related_locations d

@@ -5,7 +5,7 @@
     code present in the findings (with a short description from the built-in
     catalogue).  Every result carries a
     [partialFingerprints."yieldlab/v1"] entry equal to
-    {!Baseline.fingerprint}, so SARIF consumers and the baseline file agree
+    {!Suppression.fingerprint}, so SARIF consumers and the baseline file agree
     on identity; findings passed as [suppressed] are emitted with
     [suppressions: [{"kind": "external"}]] as SARIF prescribes for
     baseline-suppressed results. *)

@@ -9,10 +9,6 @@ let create rows cols =
   let n = rows * cols in
   { rows; cols; re = Array.make n 0.; im = Array.make n 0. }
 
-let rows m = m.rows
-
-let cols m = m.cols
-
 let idx m i j = (i * m.cols) + j
 
 let get m i j =
@@ -23,11 +19,6 @@ let set m i j (z : Complex.t) =
   let k = idx m i j in
   m.re.(k) <- z.re;
   m.im.(k) <- z.im
-
-let add_to m i j (z : Complex.t) =
-  let k = idx m i j in
-  m.re.(k) <- m.re.(k) +. z.re;
-  m.im.(k) <- m.im.(k) +. z.im
 
 let of_real ?(imag_scale = 1.) g c =
   if Mat.rows g <> Mat.rows c || Mat.cols g <> Mat.cols c then

@@ -1,20 +1,15 @@
 (** Complex dense matrices and LU solves, for small-signal AC analysis where
-    the MNA system is [G + jwC]. *)
+    the MNA system is [G + jwC].  The engines reach it only through the
+    dense {!Linsys} backend. *)
 
 type t
 
 val create : int -> int -> t
 (** Zero matrix. *)
 
-val rows : t -> int
-
-val cols : t -> int
-
 val get : t -> int -> int -> Complex.t
 
 val set : t -> int -> int -> Complex.t -> unit
-
-val add_to : t -> int -> int -> Complex.t -> unit
 
 val of_real : ?imag_scale:float -> Mat.t -> Mat.t -> t
 (** [of_real g c ~imag_scale:w] builds [g + j*w*c].  Shapes must agree. *)

@@ -9,7 +9,7 @@ type t = {
 }
 
 let create ~every_s ~emit =
-  if every_s <= 0. then invalid_arg "Snapshot.create: every_s <= 0";
+  if every_s <= 0. then invalid_arg "Metric_deltas.create: every_s <= 0";
   {
     every_s;
     emit;

@@ -30,7 +30,7 @@ let set_span_sample spec = Sampler.configure spec
 type stream_state = {
   stream : Stream.t;
   sub : int;
-  snapshot : Snapshot.t option;
+  snapshot : Metric_deltas.t option;
 }
 
 let active : stream_state option ref = ref None
@@ -45,7 +45,7 @@ let start_stream ?snapshot_every_s ~path () =
       let snapshot =
         Option.map
           (fun every_s ->
-            Snapshot.create ~every_s ~emit:(Stream.write_json stream))
+            Metric_deltas.create ~every_s ~emit:(Stream.write_json stream))
           snapshot_every_s
       in
       let sub =
@@ -53,7 +53,7 @@ let start_stream ?snapshot_every_s ~path () =
             Stream.write_event stream phase e;
             (* snapshots ride span closes: no timer thread needed, and a
                run busy enough to need snapshots closes spans constantly *)
-            if phase = Span.Closed then Option.iter Snapshot.tick snapshot)
+            if phase = Span.Closed then Option.iter Metric_deltas.tick snapshot)
       in
       active := Some { stream; sub; snapshot }
 
@@ -63,7 +63,7 @@ let stop_stream () =
   | Some { stream; sub; snapshot } ->
       active := None;
       Span.unsubscribe sub;
-      Option.iter Snapshot.force snapshot;
+      Option.iter Metric_deltas.force snapshot;
       (* final registry state as ordinary metric lines, so the stream alone
          reconstructs what the exit-time JSONL sink would have written *)
       if Stream.format stream = Stream.Jsonl then begin

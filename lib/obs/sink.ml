@@ -1,18 +1,16 @@
-let chrome_trace_of_events events =
-  Json.List
-    (List.map
-       (fun (e : Span.event) ->
-         Json.Obj
-           [
-             ("name", Json.String e.Span.name);
-             ("cat", Json.String "yieldlab");
-             ("ph", Json.String "X");
-             ("ts", Json.Float e.Span.ts_us);
-             ("dur", Json.Float e.Span.dur_us);
-             ("pid", Json.Int 1);
-             ("tid", Json.Int e.Span.tid);
-           ])
-       events)
+let chrome_event (e : Span.event) =
+  Json.Obj
+    [
+      ("name", Json.String e.Span.name);
+      ("cat", Json.String "yieldlab");
+      ("ph", Json.String "X");
+      ("ts", Json.Float e.Span.ts_us);
+      ("dur", Json.Float e.Span.dur_us);
+      ("pid", Json.Int 1);
+      ("tid", Json.Int e.Span.tid);
+    ]
+
+let chrome_trace_of_events events = Json.List (List.map chrome_event events)
 
 let counter_json (name, v) =
   Json.Obj

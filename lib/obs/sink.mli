@@ -9,9 +9,13 @@
     without touching the global registries; the [write_*] functions
     snapshot the registries and write files. *)
 
+val chrome_event : Span.event -> Json.t
+(** One complete ([ph = "X"]) trace event with [name], [cat], [ph], [ts],
+    [dur], [pid], [tid] fields; [ts]/[dur] in microseconds.  The streaming
+    Chrome sink ({!Stream}) writes exactly these elements. *)
+
 val chrome_trace_of_events : Span.event list -> Json.t
-(** A JSON array of complete ([ph = "X"]) events with [name], [cat], [ph],
-    [ts], [dur], [pid], [tid] fields; [ts]/[dur] in microseconds. *)
+(** A JSON array of {!chrome_event}s. *)
 
 val histogram_fields : Histogram.summary -> (string * Json.t) list
 (** The canonical JSON field list of a histogram summary

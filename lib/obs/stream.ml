@@ -52,18 +52,6 @@ let write_json t j =
   end;
   Mutex.unlock t.lock
 
-let chrome_event (e : Span.event) =
-  Json.Obj
-    [
-      ("name", Json.String e.Span.name);
-      ("cat", Json.String "yieldlab");
-      ("ph", Json.String "X");
-      ("ts", Json.Float e.Span.ts_us);
-      ("dur", Json.Float e.Span.dur_us);
-      ("pid", Json.Int 1);
-      ("tid", Json.Int e.Span.tid);
-    ]
-
 let write_event t phase (e : Span.event) =
   match (t.format, phase) with
   | Jsonl, Span.Closed -> write_json t (Sink.span_json e)
@@ -73,7 +61,7 @@ let write_event t phase (e : Span.event) =
         | Json.Obj (("type", _) :: rest) ->
             Json.Obj (("type", Json.String "span.open") :: rest)
         | other -> other)
-  | Chrome, Span.Closed -> write_json t (chrome_event e)
+  | Chrome, Span.Closed -> write_json t (Sink.chrome_event e)
   | Chrome, Span.Opened -> () (* complete ("X") events are close-time only *)
 
 let close t =

@@ -6,7 +6,7 @@
     - [Jsonl] — one JSON object per line, the same line shapes as
       {!Sink.jsonl_of} ([{"type":"span",...}]) plus ["span.open"] lines
       (when the caller forwards [Opened] phases) and ["snapshot"] lines
-      from {!Snapshot}.
+      from {!Metric_deltas}.
     - [Chrome] — an incrementally grown [trace_event] array.  The opening
       [\[] is written eagerly and the closing bracket only on {!close};
       Chrome and Perfetto load the unterminated array a crash leaves

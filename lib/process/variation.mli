@@ -62,7 +62,13 @@ val nominal_global : global_draw
 
 val mismatch_sigma_vth :
   spec -> Yield_spice.Mosfet.polarity -> w:float -> l:float -> float
-(** Pelgrom sigma for a device geometry (exposed for tests). *)
+(** Pelgrom threshold sigma for a device geometry, V. *)
+
+val mismatch_sigma_beta :
+  spec -> Yield_spice.Mosfet.polarity -> w:float -> l:float -> float
+(** Pelgrom relative current-factor sigma for a device geometry: the exact
+    float the sampler scales its mismatch deviate by, so the corner
+    analysis's parameter box contains every sample. *)
 
 val perturb_model :
   spec -> global_draw -> Yield_stats.Rng.t ->

@@ -51,44 +51,48 @@ let error_to_string = function
       "dcop: no convergence after " ^ String.concat ", " attempts
   | Singular_system what -> "dcop: singular system in " ^ what
 
-(* One damped-Newton run at fixed gmin and source scaling.  Returns the
-   solution and iteration count, or None on failure.  [rs] is the solver
-   workspace reused across iterations (a dense workspace reproduces the
-   historical fresh-matrix-per-iteration path byte-for-byte). *)
-let newton rs ?models circuit layout options ~source_scale ~gmin ~x0 =
-  let n = Mna.size layout in
+(* The damped-Newton iteration every engine runs: [assemble x] stamps the
+   system linearised around [x] into [rs] and returns its right-hand side.
+   Node-voltage steps are clamped to [max_step]; branch currents move
+   freely.  Converges when the largest unclamped step is below [vtol]. *)
+let newton_loop (rs : Linsys.real) ~n_nodes ~max_iterations ~vtol ~max_step
+    ~assemble x0 =
+  let n = Array.length x0 in
   let x = Array.copy x0 in
   let rec iterate i =
-    if i >= options.max_iterations then None
+    if i >= max_iterations then None
     else begin
-      let rhs =
-        Mna.assemble_dc rs ?models circuit layout ~x ~source_scale ~gmin
-      in
+      let rhs = assemble x in
       match rs.Linsys.solve rhs with
       | exception Lu.Singular _ -> None
       | x_new ->
           let delta = ref 0. in
           for k = 0 to n - 1 do
             let dk = x_new.(k) -. x.(k) in
-            let node_unknown = k < Mna.n_nodes layout in
-            (* clamp only node voltages; branch currents may move freely *)
             let dk_clamped =
-              if node_unknown then
-                Float.max (-.options.max_step) (Float.min options.max_step dk)
+              if k < n_nodes then Float.max (-.max_step) (Float.min max_step dk)
               else dk
             in
             delta := Float.max !delta (Float.abs dk);
             x.(k) <- x.(k) +. dk_clamped
           done;
-          if
-            !delta < options.vtol
-            && Float.is_finite !delta
-          then Some (x, i + 1)
+          if !delta < vtol && Float.is_finite !delta then Some (x, i + 1)
           else if not (Array.for_all Float.is_finite x) then None
           else iterate (i + 1)
     end
   in
   iterate 0
+
+(* One damped-Newton run at fixed gmin and source scaling.  [rs] is the
+   solver workspace reused across iterations (a dense workspace reproduces
+   the historical fresh-matrix-per-iteration path byte-for-byte). *)
+let newton rs ?models circuit layout options ~source_scale ~gmin ~x0 =
+  newton_loop rs ~n_nodes:(Mna.n_nodes layout)
+    ~max_iterations:options.max_iterations ~vtol:options.vtol
+    ~max_step:options.max_step
+    ~assemble:(fun x ->
+      Mna.assemble_dc rs ?models circuit layout ~x ~source_scale ~gmin)
+    x0
 
 let initial_guess circuit layout =
   let x = Vec.create (Mna.size layout) in

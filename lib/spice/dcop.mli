@@ -25,6 +25,21 @@ val classify_error : error -> Yield_resilience.Retry.classification
 (** [No_convergence] is transient (a different starting point may converge);
     [Singular_system] is permanent (the topology itself is broken). *)
 
+val newton_loop :
+  Yield_numeric.Linsys.real -> n_nodes:int -> max_iterations:int ->
+  vtol:float -> max_step:float ->
+  assemble:(Yield_numeric.Vec.t -> Yield_numeric.Vec.t) ->
+  Yield_numeric.Vec.t -> (Yield_numeric.Vec.t * int) option
+(** The one damped-Newton iteration of the tree, shared by the DC solve
+    and the transient engine.  Starting from a copy of the guess,
+    [assemble x] stamps the system linearised around [x] into the
+    workspace and returns its right-hand side; the workspace's solve gives
+    the next iterate.  Steps of the first [n_nodes] unknowns (node
+    voltages) are clamped to [max_step]; branch currents move freely.
+    Returns the solution and the iteration count once the largest
+    unclamped step is below [vtol]; [None] after [max_iterations]
+    iterations, on a singular factorisation, or on a non-finite iterate. *)
+
 val solve :
   ?options:options -> ?x0_jitter:(int -> float) -> ?sys:Mna.sys ->
   ?models:Mna.models -> Circuit.t -> (t, error) result

@@ -107,6 +107,9 @@ let stamp_branch add l ~name ~npos ~nneg =
     add br (nneg - 1) (-1.)
   end
 
+(* Newton-linearised MOSFET around the guess [x]: the small-signal
+   conductances plus the companion current that makes the linear model
+   reproduce [ids_eff] at [x] *)
 let stamp_mosfet_dc add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l =
   let op, ids_eff = mos_linearise ~model ~w ~l ~d ~g:gate ~s ~b x in
   let gm = op.Mosfet.gm and gds = op.Mosfet.gds and gmb = op.Mosfet.gmb in
@@ -122,8 +125,7 @@ let stamp_mosfet_dc add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l =
   in
   let ieq = linear_current -. ids_eff in
   inject rhs d ieq;
-  inject rhs s (-.ieq);
-  op
+  inject rhs s (-.ieq)
 
 (* ---------- structural pattern, built once per topology ---------- *)
 
@@ -190,24 +192,28 @@ let sys_solver_name s = Linsys.name s.compiled
 
 (* ---------- assembly ---------- *)
 
-let assemble_dc (rs : Linsys.real) ?models circuit l ~x ~source_scale
-    ~gmin =
+let assemble_dc (rs : Linsys.real) ?models ?time ?companion circuit l ~x
+    ~source_scale ~gmin =
   rs.Linsys.reset ();
   let add = rs.Linsys.add in
   let rhs = Vec.create l.size in
   for i = 0 to l.n_nodes - 1 do
     add i i gmin
   done;
+  let source dc wave =
+    match time with None -> dc | Some t -> Device.waveform_value wave ~dc t
+  in
   let stamp_device di dev =
-    match dev with
+    (match dev with
     | Device.Resistor { n1; n2; ohms; _ } -> stamp_g add n1 n2 (1. /. ohms)
     | Device.Capacitor _ -> ()
-    | Device.Vsource { name; npos; nneg; dc; _ } ->
+    | Device.Vsource { name; npos; nneg; dc; wave; _ } ->
         stamp_branch add l ~name ~npos ~nneg;
-        rhs.(Hashtbl.find l.branches name) <- dc *. source_scale
-    | Device.Isource { npos; nneg; dc; _ } ->
-        inject rhs npos (-.dc *. source_scale);
-        inject rhs nneg (dc *. source_scale)
+        rhs.(Hashtbl.find l.branches name) <- source dc wave *. source_scale
+    | Device.Isource { npos; nneg; dc; wave; _ } ->
+        let v = source dc wave in
+        inject rhs npos (-.v *. source_scale);
+        inject rhs nneg (v *. source_scale)
     | Device.Vccs { out_p; out_n; in_p; in_n; gm; _ } ->
         stamp_gm add out_p out_n in_p in_n gm
     | Device.Mosfet { d; g = gate; s; b; model; w; l = len; _ } ->
@@ -216,7 +222,8 @@ let assemble_dc (rs : Linsys.real) ?models circuit l ~x ~source_scale
              d/d vs = -(gm + gds + gmb).
            (For PMOS the two sign flips cancel.) *)
         let model = model_override models di model in
-        ignore (stamp_mosfet_dc add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l:len)
+        stamp_mosfet_dc add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l:len);
+    match companion with None -> () | Some stamp -> stamp di rhs
   in
   Array.iteri stamp_device (Circuit.devices circuit);
   rhs

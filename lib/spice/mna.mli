@@ -46,13 +46,11 @@ val model_override : models option -> int -> Mosfet.model -> Mosfet.model
 
 type sys
 
-val pattern : Circuit.t -> layout -> Yield_numeric.Linsys.Pattern.t
-(** Union of every structural position any analysis stamps for this
-    topology (DC Newton, AC, transient companion models), so one cached
-    symbolic factorisation serves them all. *)
-
 val sys : ?backend:Yield_numeric.Linsys.backend -> Circuit.t -> sys
-(** Build the layout, the pattern, and compile it.  [backend] defaults to
+(** Build the layout and the structural pattern (the union of every
+    position any analysis stamps for this topology: DC Newton, AC,
+    transient companion models), and compile it, so one cached symbolic
+    factorisation serves them all.  [backend] defaults to
     [Dense].  Valid for every circuit sharing this topology (any
     [Circuit.map_devices] image: same nodes, same device order). *)
 
@@ -74,20 +72,29 @@ val sys_solver_name : sys -> string
 
     One walk per analysis, through a {!Yield_numeric.Linsys} workspace:
     each call resets the workspace, stamps every device, and returns the
-    right-hand side.  The DC Newton step, the AC sweep, the noise analysis
-    and the corner analysis's preconditioner all assemble here; the
-    transient engine reuses the stamping primitives below. *)
+    right-hand side.  This walk is the only place that decides how a device
+    stamps: the DC Newton step, the transient Newton step, the AC sweep,
+    the noise analysis and the corner analysis's preconditioner all
+    assemble here. *)
 
 val assemble_dc :
   Yield_numeric.Linsys.real ->
-  ?models:models ->
+  ?models:models -> ?time:float ->
+  ?companion:(int -> Yield_numeric.Vec.t -> unit) ->
   Circuit.t -> layout -> x:Yield_numeric.Vec.t -> source_scale:float ->
   gmin:float -> Yield_numeric.Vec.t
 (** Newton-linearised DC system around the guess [x]: after the call,
     solving the workspace against the returned right-hand side yields the
     next iterate.  [source_scale] scales all independent sources (for
     source-stepping homotopy); [gmin] is a conductance added from every
-    node to ground. *)
+    node to ground.
+
+    The transient engine drives the same walk: [time] evaluates every
+    independent source's waveform at that instant
+    ({!Device.waveform_value}) instead of its DC value, and [companion di
+    rhs] runs right after device [di]'s own stamps (index in
+    [Circuit.devices]), so companion models accumulate into the workspace
+    (through its [add]) and into [rhs] in device order. *)
 
 val mos_operating_points :
   ?models:models ->
@@ -103,10 +110,12 @@ val assemble_ac :
     [C]; the returned [rhs] carries the AC magnitudes of the independent
     sources.  [ops] maps MOSFET names to their DC operating points. *)
 
-(** {1 Low-level stamping primitives, shared with the transient engine}
+(** {1 Low-level stamping primitives}
 
-    Each stamps through a generic [add row col value] accumulator (a
-    {!Yield_numeric.Linsys} workspace's [add]). *)
+    Each stamps through a generic [add row col value] accumulator: a
+    {!Yield_numeric.Linsys} workspace's [add], the transient companion
+    hook, or the corner analysis's interval accumulator (which calls them
+    with a unit value and reads the sign of each entry). *)
 
 val stamp_conductance :
   (int -> int -> float -> unit) -> Device.node -> Device.node -> float -> unit
@@ -124,10 +133,3 @@ val stamp_branch :
 
 val inject : Yield_numeric.Vec.t -> Device.node -> float -> unit
 (** Add a current injection into a node's KCL right-hand side. *)
-
-val stamp_mosfet_dc :
-  (int -> int -> float -> unit) -> Yield_numeric.Vec.t ->
-  x:Yield_numeric.Vec.t -> d:Device.node -> g:Device.node -> s:Device.node ->
-  b:Device.node -> model:Mosfet.model -> w:float -> l:float -> Mosfet.op
-(** Newton-linearised MOSFET stamp around the guess [x]; returns the
-    normalised operating point used. *)

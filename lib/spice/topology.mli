@@ -24,6 +24,13 @@ type issue =
 
 val issue_to_string : issue -> string
 
+val find : int array -> int -> int
+(** Union-find over node indices ([parent.(i) = i] at the roots, path
+    halving): the representative of [i]'s set. *)
+
+val union : int array -> int -> int -> unit
+(** Merge the sets of two indices. *)
+
 val dc_issues : Circuit.t -> issue list
 (** All structural singularities, in deterministic order: voltage-source
     loops in device order, then unreachable nodes in node order.  Only nodes

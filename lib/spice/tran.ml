@@ -1,5 +1,3 @@
-module Vec = Yield_numeric.Vec
-module Lu = Yield_numeric.Lu
 module Linsys = Yield_numeric.Linsys
 
 type options = {
@@ -60,16 +58,14 @@ let refresh_mos_slots slots (op : Mosfet.op) =
       sb.c <- op.Mosfet.csb
   | _ -> invalid_arg "Tran: malformed MOS slots"
 
-let source_value_at ~dc ~wave t = Device.waveform_value wave ~dc t
-
 (* initial operating point with every waveform frozen at t = 0 *)
 let initial_circuit circuit =
   Circuit.map_devices circuit (fun dev ->
       match dev with
       | Device.Vsource ({ dc; wave; _ } as v) ->
-          Device.Vsource { v with dc = source_value_at ~dc ~wave 0. }
+          Device.Vsource { v with dc = Device.waveform_value wave ~dc 0. }
       | Device.Isource ({ dc; wave; _ } as i) ->
-          Device.Isource { i with dc = source_value_at ~dc ~wave 0. }
+          Device.Isource { i with dc = Device.waveform_value wave ~dc 0. }
       | Device.Resistor _ | Device.Capacitor _ | Device.Vccs _
       | Device.Mosfet _ ->
           dev)
@@ -78,29 +74,31 @@ let run ?sys ?models options circuit =
   let layout =
     match sys with Some s -> Mna.sys_layout s | None -> Mna.layout circuit
   in
-  let size = Mna.size layout in
   let devices = Circuit.devices circuit in
   (* one numeric workspace reused across all steps and Newton iterations; a
      dense one reproduces the historical fresh-matrix path byte-for-byte *)
   let rs =
     match sys with
     | Some s -> Mna.sys_real s
-    | None -> Linsys.real (Linsys.dense_of_size size)
+    | None -> Linsys.real (Linsys.dense_of_size (Mna.size layout))
   in
   match Dcop.solve ?sys ?models (initial_circuit circuit) with
   | Error e -> Error (Dc_failed e)
   | Ok op0 -> begin
       let slots = Array.map slots_of_device devices in
-      (* prime MOS capacitances from the DC operating point *)
-      Array.iteri
-        (fun di dev ->
-          match dev with
-          | Device.Mosfet { name; _ } ->
-              refresh_mos_slots slots.(di) (List.assoc name op0.Dcop.mos_ops)
-          | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
-          | Device.Isource _ | Device.Vccs _ ->
-              ())
-        devices;
+      (* MOS capacitances from operating points listed in device order *)
+      let refresh_caps ops =
+        let rest = ref ops in
+        Array.iteri
+          (fun di dev ->
+            match (dev, !rest) with
+            | Device.Mosfet _, (_, op) :: tl ->
+                refresh_mos_slots slots.(di) op;
+                rest := tl
+            | _ -> ())
+          devices
+      in
+      refresh_caps op0.Dcop.mos_ops;
       let n_steps = int_of_float (Float.ceil (options.t_stop /. options.dt)) in
       let times = Array.make (n_steps + 1) 0. in
       let solutions = Array.make (n_steps + 1) [||] in
@@ -108,128 +106,54 @@ let run ?sys ?models options circuit =
       solutions.(0) <- Array.copy op0.Dcop.x;
       let x_prev = ref (Array.copy op0.Dcop.x) in
       let failed = ref None in
-      (* One Newton solve of the companion-model system at time [t]. *)
+      let h = options.dt in
+      let integ_g ~first c = if first then c /. h else 2. *. c /. h in
+      (* trapezoidal (backward-Euler on the first step) history current of
+         a capacitive slot: the companion source in parallel with geq *)
+      let history ~first slot geq =
+        let v_old = Mna.voltage !x_prev slot.a -. Mna.voltage !x_prev slot.b in
+        if first then geq *. v_old else (geq *. v_old) +. slot.i_prev
+      in
+      (* One Newton solve of the companion-model system at time [t]: the
+         shared DC walk with sources at [t] and each device's capacitive
+         slots stamped right after its own entries. *)
       let step ~first t =
-        let h = options.dt in
-        let integ_g c = if first then c /. h else 2. *. c /. h in
-        let x = Array.copy !x_prev in
-        let rec newton iter =
-          if iter > options.max_newton then None
-          else begin
-            rs.Linsys.reset ();
-            let add = rs.Linsys.add in
-            let rhs = Vec.create size in
-            for i = 0 to Mna.n_nodes layout - 1 do
-              add i i 1e-12
-            done;
-            Array.iteri
-              (fun di dev ->
-                match dev with
-                | Device.Resistor { n1; n2; ohms; _ } ->
-                    Mna.stamp_conductance add n1 n2 (1. /. ohms)
-                | Device.Capacitor _ | Device.Mosfet _ ->
-                    (* caps handled via slots below; MOS conductive part
-                       stamped here *)
-                    (match dev with
-                    | Device.Mosfet { d; g; s; b; model; w; l; name = _ } ->
-                        let model = Mna.model_override models di model in
-                        ignore
-                          (Mna.stamp_mosfet_dc add rhs ~x ~d ~g ~s ~b
-                             ~model ~w ~l)
-                    | _ -> ());
-                    List.iter
-                      (fun slot ->
-                        let geq = integ_g slot.c in
-                        let v_old =
-                          Mna.voltage !x_prev slot.a -. Mna.voltage !x_prev slot.b
-                        in
-                        let i_hist =
-                          if first then geq *. v_old
-                          else (geq *. v_old) +. slot.i_prev
-                        in
-                        Mna.stamp_conductance add slot.a slot.b geq;
-                        Mna.inject rhs slot.a i_hist;
-                        Mna.inject rhs slot.b (-.i_hist))
-                      slots.(di)
-                | Device.Vsource { name; npos; nneg; dc; wave; _ } ->
-                    Mna.stamp_branch add layout ~name ~npos ~nneg;
-                    rhs.(Mna.branch_index layout name) <-
-                      source_value_at ~dc ~wave t
-                | Device.Isource { npos; nneg; dc; wave; _ } ->
-                    let value = source_value_at ~dc ~wave t in
-                    Mna.inject rhs npos (-.value);
-                    Mna.inject rhs nneg value
-                | Device.Vccs { out_p; out_n; in_p; in_n; gm; _ } ->
-                    Mna.stamp_transconductance add ~out_p ~out_n ~in_p
-                      ~in_n gm)
-              devices;
-            match rs.Linsys.solve rhs with
-            | exception Lu.Singular _ -> None
-            | x_new ->
-                let delta = ref 0. in
-                for k = 0 to size - 1 do
-                  let dk = x_new.(k) -. x.(k) in
-                  delta := Float.max !delta (Float.abs dk);
-                  let limit = 0.5 in
-                  let dk =
-                    if k < Mna.n_nodes layout then
-                      Float.max (-.limit) (Float.min limit dk)
-                    else dk
-                  in
-                  x.(k) <- x.(k) +. dk
-                done;
-                if not (Array.for_all Float.is_finite x) then None
-                else if !delta < options.vtol then Some x
-                else newton (iter + 1)
-          end
+        let companion di rhs =
+          List.iter
+            (fun slot ->
+              let geq = integ_g ~first slot.c in
+              let i_hist = history ~first slot geq in
+              Mna.stamp_conductance rs.Linsys.add slot.a slot.b geq;
+              Mna.inject rhs slot.a i_hist;
+              Mna.inject rhs slot.b (-.i_hist))
+            slots.(di)
         in
-        newton 0
+        Dcop.newton_loop rs ~n_nodes:(Mna.n_nodes layout)
+          ~max_iterations:(options.max_newton + 1) ~vtol:options.vtol
+          ~max_step:0.5
+          ~assemble:(fun x ->
+            Mna.assemble_dc rs ?models ~time:t ~companion circuit layout ~x
+              ~source_scale:1. ~gmin:1e-12)
+          !x_prev
       in
       (try
          for n = 1 to n_steps do
            let t = float_of_int n *. options.dt in
-           match step ~first:(n = 1) t with
+           let first = n = 1 in
+           match step ~first t with
            | None ->
                failed := Some t;
                raise Exit
-           | Some x ->
+           | Some (x, _) ->
                (* accept: update capacitor branch currents and MOS caps *)
-               let h = options.dt in
-               Array.iteri
-                 (fun di dev ->
-                   List.iter
-                     (fun slot ->
-                       let geq =
-                         if n = 1 then slot.c /. h else 2. *. slot.c /. h
-                       in
-                       let v_old =
-                         Mna.voltage !x_prev slot.a -. Mna.voltage !x_prev slot.b
-                       in
-                       let v_new = Mna.voltage x slot.a -. Mna.voltage x slot.b in
-                       let i_hist =
-                         if n = 1 then geq *. v_old
-                         else (geq *. v_old) +. slot.i_prev
-                       in
-                       slot.i_prev <- (geq *. v_new) -. i_hist)
-                     slots.(di);
-                   match dev with
-                   | Device.Mosfet { d; g; s; b; model; w; l; name = _ } ->
-                       let model = Mna.model_override models di model in
-                       let vgs, vds, vbs =
-                         let vd = Mna.voltage x d
-                         and vg = Mna.voltage x g
-                         and vs = Mna.voltage x s
-                         and vb = Mna.voltage x b in
-                         match model.Mosfet.polarity with
-                         | Mosfet.Nmos -> (vg -. vs, vd -. vs, vb -. vs)
-                         | Mosfet.Pmos -> (vs -. vg, vs -. vd, vs -. vb)
-                       in
-                       let op = Mosfet.eval model ~w ~l ~vgs ~vds ~vbs in
-                       refresh_mos_slots slots.(di) op
-                   | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
-                   | Device.Isource _ | Device.Vccs _ ->
-                       ())
-                 devices;
+               Array.iter
+                 (List.iter (fun slot ->
+                      let geq = integ_g ~first slot.c in
+                      let i_hist = history ~first slot geq in
+                      let v_new = Mna.voltage x slot.a -. Mna.voltage x slot.b in
+                      slot.i_prev <- (geq *. v_new) -. i_hist))
+                 slots;
+               refresh_caps (Mna.mos_operating_points ?models circuit ~x);
                times.(n) <- t;
                solutions.(n) <- Array.copy x;
                x_prev := x

@@ -1,6 +1,12 @@
 (** Transient analysis: fixed-step trapezoidal integration with a
     backward-Euler start-up step, Newton iteration at every time point.
 
+    The engine owns no stamps and no Newton loop of its own: each time
+    point runs {!Dcop.newton_loop} over {!Mna.assemble_dc} with the sources
+    evaluated at that time and a companion hook that stamps the device's
+    capacitive slots, and the accepted point's MOS capacitances come from
+    {!Mna.mos_operating_points}.
+
     Capacitors (explicit and MOS intrinsic/junction) are handled through
     companion models.  MOS capacitances are evaluated quasi-statically at
     the previous accepted time point: adequate for the slew-rate and
@@ -10,7 +16,9 @@
 type options = {
   t_stop : float;  (** end time, s *)
   dt : float;  (** fixed step, s *)
-  max_newton : int;  (** per-step Newton iterations (default 60) *)
+  max_newton : int;
+      (** per-step Newton iteration budget beyond the first (default 60:
+          at most 61 iterations) *)
   vtol : float;  (** Newton voltage tolerance (default 1e-7) *)
 }
 

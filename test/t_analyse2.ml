@@ -7,7 +7,7 @@ module Diagnostic = Yield_analyse.Diagnostic
 module Interval = Yield_analyse.Interval
 module Ac_tran_lint = Yield_analyse.Ac_tran_lint
 module Va_lint = Yield_analyse.Va_lint
-module Baseline = Yield_analyse.Baseline
+module Suppression = Yield_analyse.Suppression
 module Sarif = Yield_analyse.Sarif
 module Circuit = Yield_spice.Circuit
 module Device = Yield_spice.Device
@@ -219,6 +219,27 @@ let test_tran_lint_codes () =
   Alcotest.(check (list string)) "DC-only stimulus" [ "R003" ]
     (codes (Ac_tran_lint.check (rc ()) [ tran "out" ]))
 
+let test_dc_lint_codes () =
+  let sweep out =
+    Netlist.Dc_analysis { source = "V1"; start = 0.; stop = 1.; step = 0.5; out }
+  in
+  Alcotest.(check (list string)) "probed sweep is clean" []
+    (codes (Ac_tran_lint.check (rc ()) [ sweep "out" ]));
+  Alcotest.(check (list string)) "unknown node" [ "S001" ]
+    (codes (Ac_tran_lint.check (rc ()) [ sweep "nope" ]));
+  (* the shipped negative fixture: the elaborator interns the probe name,
+     so only the device-reference test can tell it is noise *)
+  let path = fixture "examples/netlists/probe_unknown.cir" in
+  let diags = Ac_tran_lint.check_file path in
+  Alcotest.(check (list string)) "fixture finding" [ "S001" ] (codes diags);
+  Alcotest.(check int) "fixture fails" 2 (Diagnostic.exit_code diags);
+  let circuit, _ =
+    Netlist.parse_with_analyses
+      (In_channel.with_open_bin path In_channel.input_all)
+  in
+  Alcotest.(check (list bool)) "probe_is_known" [ false; true; true ]
+    (List.map (Ac_tran_lint.probe_is_known circuit) [ "nosuch"; "out"; "0" ])
+
 (* ---------- Verilog-A AST: golden, printing, parsing ---------- *)
 
 (* [print_source (module_ast ())] must reproduce the historical string
@@ -351,10 +372,10 @@ let test_va_lint_fixture () =
       (fun d -> { d with Diagnostic.file = Some "examples/va/ota_perf.va" })
       diags
   in
-  match Baseline.load ~path:(fixture "examples/va/ota_perf.baseline.json") with
+  match Suppression.load ~path:(fixture "examples/va/ota_perf.baseline.json") with
   | Error e -> Alcotest.fail e
   | Ok base ->
-      let fresh, suppressed = Baseline.partition base diags in
+      let fresh, suppressed = Suppression.partition base diags in
       Alcotest.(check int) "everything suppressed" 0 (List.length fresh);
       Alcotest.(check int) "three known findings" 3 (List.length suppressed)
 
@@ -414,34 +435,34 @@ let diag ?(file = "a.cir") ?(code = "A003") ?(subject = "probe") message =
 let test_baseline_fingerprint () =
   (* pinned: fingerprints are an on-disk interface shared with SARIF *)
   Alcotest.(check string) "stable hash" "b0c0058c50009ce8"
-    (Baseline.fingerprint (diag "unreachable"));
+    (Suppression.fingerprint (diag "unreachable"));
   Alcotest.(check string) "message is not part of identity"
-    (Baseline.fingerprint (diag "unreachable"))
-    (Baseline.fingerprint (diag "reworded message"));
+    (Suppression.fingerprint (diag "unreachable"))
+    (Suppression.fingerprint (diag "reworded message"));
   Alcotest.(check bool) "file is part of identity" true
-    (Baseline.fingerprint (diag ~file:"b.cir" "unreachable")
-    <> Baseline.fingerprint (diag "unreachable"))
+    (Suppression.fingerprint (diag ~file:"b.cir" "unreachable")
+    <> Suppression.fingerprint (diag "unreachable"))
 
 let test_baseline_partition_roundtrip () =
   let known = diag "known" and fresh = diag ~subject:"new_node" "fresh" in
-  let base = Baseline.of_diags [ known ] in
-  let f, s = Baseline.partition base [ known; fresh ] in
+  let base = Suppression.of_diags [ known ] in
+  let f, s = Suppression.partition base [ known; fresh ] in
   Alcotest.(check int) "one fresh" 1 (List.length f);
   Alcotest.(check int) "one suppressed" 1 (List.length s);
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "base.json" in
-      Baseline.save ~path base;
-      (match Baseline.load ~path with
+      Suppression.save ~path base;
+      (match Suppression.load ~path with
       | Error e -> Alcotest.fail e
       | Ok loaded ->
           Alcotest.(check (list string)) "round trip"
-            (Baseline.fingerprints base)
-            (Baseline.fingerprints loaded));
+            (Suppression.fingerprints base)
+            (Suppression.fingerprints loaded));
       (* a future-versioned file must be rejected, not half-read *)
       let oc = open_out path in
       output_string oc "{\"version\": 2, \"fingerprints\": []}";
       close_out oc;
-      match Baseline.load ~path with
+      match Suppression.load ~path with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "accepted an unknown baseline version")
 
@@ -486,6 +507,7 @@ let suites =
         Alcotest.test_case "A003 fixture + clean lowpass" `Quick
           test_ac_lint_unreachable_fixture;
         Alcotest.test_case "R codes" `Quick test_tran_lint_codes;
+        Alcotest.test_case "S codes + probe fixture" `Quick test_dc_lint_codes;
       ] );
     ( "behavioural.verilog_a_ast",
       [

@@ -8,7 +8,7 @@ module Metrics = Yield_obs.Metrics
 module Span = Yield_obs.Span
 module Sampler = Yield_obs.Sampler
 module Stream = Yield_obs.Stream
-module Snapshot = Yield_obs.Snapshot
+module Metric_deltas = Yield_obs.Metric_deltas
 module Obs = Yield_obs.Obs
 module Config = Yield_core.Config
 module Flow = Yield_core.Flow
@@ -187,15 +187,15 @@ let test_sampling_identical_across_jobs () =
 let test_snapshot_deltas () =
   let emitted = ref [] in
   let snap =
-    Snapshot.create ~every_s:3600. ~emit:(fun j -> emitted := j :: !emitted)
+    Metric_deltas.create ~every_s:3600. ~emit:(fun j -> emitted := j :: !emitted)
   in
-  Snapshot.tick snap;
+  Metric_deltas.tick snap;
   Alcotest.(check int) "not due yet" 0 (List.length !emitted);
   let c = Metrics.counter "t.snapshot.counter" in
   Metrics.add c 5;
-  Snapshot.force snap;
+  Metric_deltas.force snap;
   Metrics.add c 2;
-  Snapshot.force snap;
+  Metric_deltas.force snap;
   match List.rev !emitted with
   | [ first; second ] ->
       let delta_of j =
@@ -214,7 +214,7 @@ let test_snapshot_deltas () =
         Option.is_some (delta_of first));
       Alcotest.(check bool) "second snapshot carries only the increment" true
         (delta_of second = Some (Json.Int 2));
-      Alcotest.(check int) "two emissions counted" 2 (Snapshot.emitted snap)
+      Alcotest.(check int) "two emissions counted" 2 (Metric_deltas.emitted snap)
   | l -> Alcotest.failf "expected 2 snapshots, got %d" (List.length l)
 
 (* ---------- the perf-regression gate ---------- *)

@@ -24,4 +24,5 @@ let () =
          T_analyse2.suites;
          T_corner.suites;
          T_serve.suites;
+         T_pins.suites;
        ])
