@@ -152,83 +152,7 @@ let prescreen_ab ctx =
       ("perf_table_identical", Json.Bool perf_tables_identical);
     ]
 
-(* Solver A/B: per-sample Monte Carlo cost through the Linsys seam.  One
-   session per (topology, backend) — the circuit is instantiated and the
-   pattern compiled once; csr additionally caches its symbolic
-   factorisation — then the same seeded sample stream replays through each
-   backend via Variation.overrides.  Dense is the shipped default and the
-   byte-identity reference; the gated flow's sim_counts come from the main
-   (dense) run, so this records the seam's per-sample cost next to it
-   without perturbing the gate. *)
-let solver_ab ctx =
-  (* a fresh functor instantiation, like Flow's: the wrapper
-     Miller_testbench module deliberately hides the session API *)
-  let module Mtb = Yield_circuits.Testbench.Make (Yield_circuits.Miller) in
-  let module Clock = Yield_obs.Clock in
-  print_string
-    (Report.section "Solver A/B: dense vs csr Monte Carlo sessions (miller)");
-  let spec = ctx.Experiments.config.Config.variation in
-  let params = Yield_circuits.Miller.default_params in
-  let samples =
-    match Sys.getenv_opt "YIELDLAB_FAST" with
-    | Some v when v <> "" && v <> "0" -> 50
-    | Some _ | None -> 200
-  in
-  let run backend =
-    let session = Mtb.session ~solver:backend params in
-    (* one warm sample so csr's first-factor cost is not billed per sample *)
-    ignore
-      (Mtb.evaluate_in_session session ~spec ~rng:(Yield_stats.Rng.create 0));
-    let t0 = Clock.now_s () in
-    let results =
-      Array.init samples (fun seed ->
-          Mtb.evaluate_in_session session ~spec
-            ~rng:(Yield_stats.Rng.create (seed + 1)))
-    in
-    let per_sample_us = (Clock.now_s () -. t0) /. float samples *. 1e6 in
-    (Mtb.session_solver_name session, per_sample_us, results)
-  in
-  let name_d, us_d, rs_d = run Yield_numeric.Linsys.Dense in
-  let name_c, us_c, rs_c = run Yield_numeric.Linsys.Csr in
-  (* agreement between the backends over the kept samples, as a sanity
-     number in the document (the tolerance-checked version is a unit test) *)
-  let max_rel_diff =
-    let worst = ref 0. in
-    Array.iteri
-      (fun i rd ->
-        match (rd, rs_c.(i)) with
-        | Some (d : Yield_circuits.Testbench.perf), Some c ->
-            let rel a b =
-              Float.abs (a -. b) /. Float.max 1e-9 (Float.abs a)
-            in
-            worst :=
-              Float.max !worst
-                (Float.max
-                   (rel d.Yield_circuits.Testbench.gain_db
-                      c.Yield_circuits.Testbench.gain_db)
-                   (rel d.Yield_circuits.Testbench.phase_margin_deg
-                      c.Yield_circuits.Testbench.phase_margin_deg))
-        | None, None -> ()
-        | Some _, None | None, Some _ -> worst := Float.infinity)
-      rs_d;
-    !worst
-  in
-  Printf.printf
-    "  %d samples/backend, one session each (pattern + symbolic cached)\n\
-    \  %s: %.1f us/sample   %s: %.1f us/sample   (dense/csr = %.2fx)\n\
-    \  max relative gain/PM deviation: %.3g\n\
-     %!"
-    samples name_d us_d name_c us_c (us_d /. us_c) max_rel_diff;
-  Json.Obj
-    [
-      ("samples", Json.Int samples);
-      ("dense_us_per_sample", Json.Float us_d);
-      ("csr_us_per_sample", Json.Float us_c);
-      ("dense_over_csr", Json.Float (us_d /. us_c));
-      ("max_rel_diff", Json.Float max_rel_diff);
-    ]
-
-let write_bench_json ?(sweep = []) ?prescreen ?solver ctx ~path =
+let write_bench_json ?(sweep = []) ?prescreen ctx ~path =
   let flow = ctx.Experiments.flow in
   let t = flow.Flow.timings in
   let c = flow.Flow.counts in
@@ -268,13 +192,10 @@ let write_bench_json ?(sweep = []) ?prescreen ?solver ctx ~path =
                snap.Metrics.histograms) );
       ]
       @ (if sweep = [] then [] else [ ("jobs_sweep", Json.List sweep) ])
-      @ (match prescreen with
-        | None -> []
-        | Some section -> [ ("prescreen", section) ])
       @
-      match solver with
+      match prescreen with
       | None -> []
-      | Some section -> [ ("solver", section) ])
+      | Some section -> [ ("prescreen", section) ])
   in
   Yield_obs.Sink.write_file ~path (Json.to_string json ^ "\n");
   Printf.printf "wrote %s\n%!" path;
@@ -943,9 +864,8 @@ let () =
   let sweep = jobs_sweep config in
   let ctx = Experiments.make_context ~log:(Printf.printf "%s\n%!") config in
   let prescreen = prescreen_ab ctx in
-  let solver = solver_ab ctx in
   let bench_json =
-    write_bench_json ~sweep ~prescreen ~solver ctx ~path:"BENCH_flow.json"
+    write_bench_json ~sweep ~prescreen ctx ~path:"BENCH_flow.json"
   in
   run_gate cli bench_json;
   if cli.check <> None || cli.write_baseline <> None then begin

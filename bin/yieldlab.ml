@@ -502,14 +502,12 @@ let optimize_cmd =
 
 (* ---------- flow ---------- *)
 
-let flow fast topology out_dir checkpoint_dir resume no_preflight prescreen
-    solver =
+let flow fast topology out_dir checkpoint_dir resume no_preflight prescreen =
   let config = if fast then Config.fast_scale else Config.paper_scale in
   let config =
     {
       config with
       Config.jobs = Yield_exec.Jobs.resolve ();
-      solver;
       telemetry = Config.telemetry_of_env ();
       prescreen;
     }
@@ -656,25 +654,12 @@ let flow_cmd =
       const build $ prescreen_flag $ prescreen_k $ prescreen_min_gain
       $ prescreen_min_pm $ prescreen_budget)
   in
-  let solver =
-    Arg.(
-      value
-      & opt string (Config.solver_of_env ())
-      & info [ "solver" ] ~docv:"NAME"
-          ~doc:
-            "linear-solver backend for the Monte Carlo inner loop: \
-             $(b,dense) (the default; bit-identical to historical runs) or \
-             $(b,csr) (sparse LU with a cached symbolic factorisation per \
-             topology).  Defaults to \\$YIELDLAB_SOLVER when set.  The \
-             optimisation and nominal-front stages always run dense, so \
-             perf_model.tbl is solver-independent")
-  in
   obs_cmd
     (Cmd.info "flow" ~doc:"run the full model-generation flow (Figure 3)")
     Term.(
-      const (fun f t o c r n p s () -> flow f t o c r n p s)
+      const (fun f t o c r n p () -> flow f t o c r n p)
       $ fast $ topology $ out_dir $ checkpoint_dir $ resume $ no_preflight
-      $ prescreen_term $ solver)
+      $ prescreen_term)
 
 (* ---------- design ---------- *)
 
@@ -1187,10 +1172,12 @@ let lint_tbl_cmd =
 
 let lint_config json sarif baseline write_baseline fast checkpoint_dir resume
     fault_spec_check =
+  (* the same environment the flow reads, so the checkpoint dry-run
+     computes the fingerprint a [flow --resume] would *)
   let config =
     {
       (if fast then Config.fast_scale else Config.paper_scale) with
-      Config.solver = Config.solver_of_env ();
+      Config.prescreen = Config.prescreen_of_env ();
     }
   in
   let view =
@@ -1202,9 +1189,6 @@ let lint_config json sarif baseline write_baseline fast checkpoint_dir resume
       control = config.Config.control;
       seed = config.Config.seed;
       jobs = Yield_exec.Jobs.resolve ();
-      solver = config.Config.solver;
-      (* no testbench is built here, so the csr size heuristic stays mute *)
-      system_size = None;
       fingerprint = Config.fingerprint config;
     }
   in

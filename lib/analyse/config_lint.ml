@@ -12,14 +12,10 @@ type view = {
   control : string;
   seed : int;
   jobs : int;
-  solver : string;
-  system_size : int option;
   fingerprint : string;
 }
 
 let min_valid_mc_samples = 8
-
-let csr_min_size = 8
 
 let scale_checks v =
   let positive name value =
@@ -95,29 +91,6 @@ let jobs_checks v =
     else []
   end
 
-let solver_checks v =
-  let module Linsys = Yield_numeric.Linsys in
-  match Linsys.backend_of_string v.solver with
-  | None ->
-      [
-        diag ~code:"C007" ~severity:Diagnostic.Error ~subject:v.solver
-          (Printf.sprintf "unknown solver %S (known: %s)" v.solver
-             (String.concat ", " Linsys.backend_names));
-      ]
-  | Some Linsys.Dense -> []
-  | Some Linsys.Csr -> begin
-      match v.system_size with
-      | Some n when n < csr_min_size ->
-          [
-            diag ~code:"C007" ~severity:Diagnostic.Warning ~subject:v.solver
-              (Printf.sprintf
-                 "solver=csr on a %d-unknown system (below %d): symbolic \
-                  analysis overhead will dominate — dense is faster here"
-                 n csr_min_size);
-          ]
-      | Some _ | None -> []
-    end
-
 let control_checks v =
   match Control.parse v.control with
   | _ -> []
@@ -149,7 +122,7 @@ let checkpoint_checks ?checkpoint_dir ?(resume = false) v =
 
 let check ?checkpoint_dir ?resume v =
   scale_checks v @ mc_checks v @ stride_checks v @ jobs_checks v
-  @ solver_checks v @ control_checks v
+  @ control_checks v
   @ checkpoint_checks ?checkpoint_dir ?resume v
 
 let never_fires mode =

@@ -21,10 +21,8 @@
       contends for cores instead of adding throughput)
     - [C005] checkpoint dry-run: fingerprint mismatch (error), resumable
       state present without [--resume] (info: it will be discarded)
-    - [C007] solver name not known to
-      {!Yield_numeric.Linsys.backend_of_string} (error), or [csr] requested
-      on a system smaller than 8 unknowns (warning: symbolic
-      overhead dominates, dense is faster)
+    - [C007] retired with the solver choice (dense is the only backend);
+      the code is never reused
     - [F001] (error) unparseable [--fault-spec]
     - [F002] (error) fault-spec names an unknown injection point — the
       schedule would silently never fire
@@ -38,11 +36,6 @@ type view = {
   control : string;
   seed : int;
   jobs : int;
-  solver : string;
-      (** raw [--solver] / [YIELDLAB_SOLVER] name, unvalidated by [Config] *)
-  system_size : int option;
-      (** MNA unknown count of the testbench when the caller has built it
-          (the flow preflight has; a bare config lint has not) *)
   fingerprint : string;
 }
 

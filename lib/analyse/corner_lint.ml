@@ -557,7 +557,7 @@ let krawczyk circuit layout ~models ~lin ~moses ~k ~spec ~slice ~x0 =
      Lu.factor / Lu.solve on the same assembled Jacobian.  Its stamps are
      also teed into [gmat], the J0 that E0 below needs entrywise *)
   let gmat = Mat.create n n in
-  let dense = Linsys.real (Linsys.dense_of_size n) in
+  let dense = Linsys.real n in
   let ws =
     {
       dense with
@@ -1160,7 +1160,7 @@ let ac_enclosures circuit layout ~iops ~freqs ~out_idx ~note =
   let gint, cint, rhs_i = assemble_ac_intervals circuit layout ~iops in
   (* the midpoint system in a dense workspace: per frequency it runs the
      sampled sweep's own of_real + LU solve per right-hand side *)
-  let mid_sys = Linsys.complex (Linsys.dense_of_size n) in
+  let mid_sys = Linsys.complex n in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       mid_sys.Linsys.add_g i j (mid gint.(i).(j));

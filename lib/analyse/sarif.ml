@@ -36,7 +36,6 @@ let rule_descriptions =
     ("C004", "malformed table-model control string in config");
     ("C005", "checkpoint dry-run failure");
     ("C006", "jobs below 1 or above the recommended domain count");
-    ("C007", "unknown solver name, or csr on a tiny system");
     ("F001", "unparseable fault spec");
     ("F002", "fault spec naming an unknown injection point");
     ("F003", "fault schedule that can never fire");

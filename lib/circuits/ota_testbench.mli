@@ -45,8 +45,8 @@ val evaluate : ?conditions:conditions -> Ota.params -> perf option
     objective function handed to the optimiser. *)
 
 type session
-(** The testbench built once for one sizing, with its cached solver
-    session; see {!Testbench.Make.session}. *)
+(** The testbench built once for one sizing, with its MNA layout; see
+    {!Testbench.Make.session}. *)
 
 val session : ?conditions:conditions ->
   ?solver:Yield_numeric.Linsys.backend -> Ota.params -> session

@@ -123,12 +123,9 @@ module Make (A : Amplifier.S) = struct
 
   (* ---------- batch-first sessions ----------
 
-     All open-loop testbenches of one amplifier share a single topology
-     (same nodes, same device order) whatever the params or conditions, so
-     the structural pattern + symbolic factorisation is compiled once per
-     backend and cached for the lifetime of the functor instantiation.
-     Compiled sessions are immutable, so sharing across domains is safe;
-     the cache itself is a CAS list (a lost race costs one extra compile). *)
+     One circuit instantiation and its MNA layout per design point; each
+     sample only patches device models.  Sessions are immutable, so
+     sharing one across domains is safe. *)
 
   type session = {
     s_conditions : conditions;
@@ -136,34 +133,20 @@ module Make (A : Amplifier.S) = struct
     s_sys : Mna.sys;
   }
 
-  let sys_cache : (Linsys.backend * Mna.sys) list Atomic.t = Atomic.make []
-
-  let cached_sys backend circuit =
-    match List.assoc_opt backend (Atomic.get sys_cache) with
-    | Some s -> s
-    | None ->
-        let s = Mna.sys ~backend circuit in
-        let rec publish () =
-          let cur = Atomic.get sys_cache in
-          match List.assoc_opt backend cur with
-          | Some existing -> existing
-          | None ->
-              if Atomic.compare_and_set sys_cache cur ((backend, s) :: cur)
-              then s
-              else publish ()
-        in
-        publish ()
-
-  let session ?(conditions = default_conditions) ?(solver = Linsys.Dense)
-      params =
+  (* [solver] is the retired backend choice: its one value selects
+     nothing (see [Linsys.backend]) *)
+  let session ?(conditions = default_conditions)
+      ?solver:(_ : Linsys.backend option) params =
     let circuit, _ = build ~conditions params in
-    { s_conditions = conditions; s_circuit = circuit; s_sys = cached_sys solver circuit }
+    {
+      s_conditions = conditions;
+      s_circuit = circuit;
+      s_sys = Mna.layout circuit;
+    }
 
   let session_circuit s = s.s_circuit
 
   let session_sys s = s.s_sys
-
-  let session_solver_name s = Mna.sys_solver_name s.s_sys
 
   let bode_in_session s models =
     match Dcop.solve_with_retry ~sys:s.s_sys ~models s.s_circuit with

@@ -71,23 +71,20 @@ module Make (A : Amplifier.S) : sig
 
   type session
   (** One testbench instantiation pinned to a front point: the built
-      circuit plus a compiled {!Yield_spice.Mna.sys} solver session.  The
-      structural pattern / symbolic factorisation is compiled once per
-      solver backend and cached for the functor's lifetime (every variant
-      of one amplifier shares a topology); sessions are immutable and safe
-      to share across domains. *)
+      circuit plus its {!Yield_spice.Mna.sys} layout, computed once so
+      each sample's solves skip it.  Sessions are immutable and safe to
+      share across domains. *)
 
   val session :
     ?conditions:conditions -> ?solver:Yield_numeric.Linsys.backend ->
     A.params -> session
   (** Build the open-loop testbench once for these parameters.  [solver]
-      defaults to [Dense]. *)
+      is a vestige of the retired backend choice: its only value,
+      [Dense], selects nothing. *)
 
   val session_circuit : session -> Yield_spice.Circuit.t
 
   val session_sys : session -> Yield_spice.Mna.sys
-
-  val session_solver_name : session -> string
 
   val bode_in_session :
     session -> Yield_spice.Mna.models -> Yield_spice.Ac.bode option
@@ -98,7 +95,7 @@ module Make (A : Amplifier.S) : sig
       evaluates a process-varied testbench.  Its oracle, pinned by the
       tests, is an unpatched solve of
       [Yield_process.Variation.apply_overrides (session_circuit s) models],
-      which it matches bit for bit under the dense solver. *)
+      which it matches bit for bit. *)
 
   val evaluate_in_session :
     session -> spec:Yield_process.Variation.spec ->

@@ -21,7 +21,6 @@ type t = {
   control : string;
   seed : int;
   jobs : int;
-  solver : string;
   telemetry : telemetry;
   prescreen : prescreen;
 }
@@ -53,7 +52,6 @@ let paper_scale =
     control = "3E";
     seed = 2008;
     jobs = 1;
-    solver = "dense";
     telemetry = no_telemetry;
     prescreen = no_prescreen;
   }
@@ -109,13 +107,6 @@ let prescreen_of_env () =
          if f > 0. && f <= 1. then f else d.pass_budget_frac);
     }
 
-(* the raw name, not a parsed backend: Config_lint (C007) reports unknown
-   names as preflight errors with the original spelling *)
-let solver_of_env () =
-  match Sys.getenv_opt "YIELDLAB_SOLVER" with
-  | Some v when v <> "" -> v
-  | Some _ | None -> "dense"
-
 let of_env () =
   let base =
     match Sys.getenv_opt "YIELDLAB_FAST" with
@@ -125,7 +116,6 @@ let of_env () =
   {
     base with
     jobs = Yield_exec.Jobs.resolve ();
-    solver = solver_of_env ();
     telemetry = telemetry_of_env ();
     prescreen = prescreen_of_env ();
   }
@@ -144,17 +134,11 @@ let fingerprint t =
   (* the prescreen changes which points consume Monte Carlo budget, so it
      is part of the fingerprint — but only when enabled, so every
      pre-existing checkpoint stays resumable *)
-  let base =
-    if not t.prescreen.enabled then base
-    else
-      Printf.sprintf "%s;prescreen=k:%g,g:%g,pm:%g,b:%g" base
-        t.prescreen.k_sigma t.prescreen.min_gain_db t.prescreen.min_pm_deg
-        t.prescreen.pass_budget_frac
-  in
-  (* the solver changes the numeric kernel the Monte Carlo stage runs
-     through, so it is part of the fingerprint — but only when it departs
-     from the default, so every pre-existing checkpoint stays resumable *)
-  if t.solver = "dense" then base else base ^ ";solver=" ^ t.solver
+  if not t.prescreen.enabled then base
+  else
+    Printf.sprintf "%s;prescreen=k:%g,g:%g,pm:%g,b:%g" base
+      t.prescreen.k_sigma t.prescreen.min_gain_db t.prescreen.min_pm_deg
+      t.prescreen.pass_budget_frac
 
 let scale_name t =
   if

@@ -46,13 +46,6 @@ type t = {
           evaluation, Pareto-front re-simulation, Monte Carlo batches);
           [1] takes the exact serial code path.  Results are
           jobs-independent, so [jobs] is excluded from {!fingerprint}. *)
-  solver : string;
-      (** linear-solver backend name for the Monte Carlo inner loop
-          (["dense"] or ["csr"]; see {!Yield_numeric.Linsys.backend_of_string}).
-          Kept as the raw string so {!Config_lint} can report unknown names
-          (C007).  Part of {!fingerprint} only when it departs from
-          ["dense"].  The optimisation and nominal-front stages always run
-          dense, so [perf_model.tbl] is solver-independent. *)
   telemetry : telemetry;
   prescreen : prescreen;
 }
@@ -73,14 +66,8 @@ val of_env : unit -> t
 (** [paper_scale], or [fast_scale] when the environment variable
     [YIELDLAB_FAST] is set to a non-empty value other than ["0"]; [jobs] is
     resolved through {!Yield_exec.Jobs.resolve} (CLI request >
-    [YIELDLAB_JOBS] > recommended domain count); [solver] from
-    {!solver_of_env}; [telemetry] from {!telemetry_of_env}; [prescreen]
-    from {!prescreen_of_env}. *)
-
-val solver_of_env : unit -> string
-(** [YIELDLAB_SOLVER], verbatim (empty counts as unset → ["dense"]).
-    Deliberately unvalidated: preflight lint (C007) owns the error
-    message. *)
+    [YIELDLAB_JOBS] > recommended domain count); [telemetry] from
+    {!telemetry_of_env}; [prescreen] from {!prescreen_of_env}. *)
 
 val prescreen_of_env : unit -> prescreen
 (** Enabled by [YIELDLAB_PRESCREEN] (non-empty, non-["0"]); then
@@ -98,5 +85,5 @@ val scale_name : t -> string
 
 val fingerprint : t -> string
 (** Identity of a checkpointed run (seed, GA/MC scale, control string, plus
-    prescreen and solver when non-default): {!Flow.run} refuses to resume a
+    the prescreen when enabled): {!Flow.run} refuses to resume a
     checkpoint directory recorded under a different fingerprint. *)

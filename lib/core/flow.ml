@@ -1,7 +1,5 @@
 module Ota = Yield_circuits.Ota
 module Gtb = Yield_circuits.Testbench
-module Mna = Yield_spice.Mna
-module Linsys = Yield_numeric.Linsys
 module Wbga = Yield_ga.Wbga
 module Rng = Yield_stats.Rng
 module Montecarlo = Yield_process.Montecarlo
@@ -264,8 +262,6 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
             control = config.Config.control;
             seed = config.Config.seed;
             jobs = config.Config.jobs;
-            solver = config.Config.solver;
-            system_size = Some (Mna.size (Mna.layout circuit));
             fingerprint = Config.fingerprint config;
           }
         in
@@ -303,14 +299,6 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
       ?snapshot_every_s:config.Config.telemetry.Config.snapshot_every_s ();
     if preflight then preflight_check ?checkpoint_dir ~resume ~log config;
     let conditions = config.Config.conditions in
-    (* the Monte Carlo inner loop's numeric backend; an unknown name is a
-       preflight error (C007), so past that gate this can only fall back
-       when the caller disabled preflight — then dense, the safe default *)
-    let solver_backend =
-      Option.value
-        (Linsys.backend_of_string config.Config.solver)
-        ~default:Linsys.Dense
-    in
     let ckpt =
       match checkpoint_dir with
       | None -> None
@@ -556,12 +544,9 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
                 | Some samples ->
                 (* batch-first: one testbench instantiation per front point;
                    each sample only patches device models (bit-identical to
-                   rebuilding under the dense default).  The compiled
-                   session is immutable, so sharing it across the pool's
-                   domains is safe. *)
-                let session =
-                  T.session ~conditions ~solver:solver_backend params
-                in
+                   rebuilding).  The session is immutable, so sharing it
+                   across the pool's domains is safe. *)
+                let session = T.session ~conditions params in
                 let outcome =
                   Montecarlo.run_pool_counted ~pool ~samples ~rng:mc_rng
                     (fun sample_rng ->
@@ -692,12 +677,7 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
     | None -> Error "verify_design: nominal evaluation failed"
     | Some nominal ->
         let rng = Rng.create seed in
-        let solver_backend =
-          Option.value
-            (Linsys.backend_of_string t.config.Config.solver)
-            ~default:Linsys.Dense
-        in
-        let session = T.session ~conditions ~solver:solver_backend params in
+        let session = T.session ~conditions params in
         let outcome =
           (* a transient pool: verification runs outside Flow.run, so the
              run's own pool is already shut down *)

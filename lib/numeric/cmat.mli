@@ -1,6 +1,6 @@
 (** Complex dense matrices and LU solves, for small-signal AC analysis where
-    the MNA system is [G + jwC].  The engines reach it only through the
-    dense {!Linsys} backend. *)
+    the MNA system is [G + jwC].  The engines reach it only through
+    {!Linsys.complex} workspaces. *)
 
 type t
 

@@ -1,63 +1,16 @@
-(** Solver-agnostic linear-system seam.
+(** Linear-system workspaces for the simulation engines.
 
-    Simulation engines describe the structural nonzeros of their MNA system
-    once per topology as a {!Pattern.t}, compile it against a {!backend},
-    and then assemble + solve through small records of closures
-    ({!type-real} for DC/transient Newton systems, {!type-complex_sys} for
-    AC systems of the form [G + jwC]).  Two backends exist:
+    Every engine assembles and solves its MNA system through a small
+    record of closures: {!type-real} for DC / transient Newton systems,
+    {!type-complex_sys} for AC systems of the form [G + jwC].  The
+    workspaces are dense: they wrap {!Mat}/{!Lu}/{!Cmat} with exactly the
+    operation sequence the engines used before the records existed, so
+    results are byte-identical to the historical direct calls.
 
-    - [Dense] wraps {!Mat}/{!Lu}/{!Cmat} with exactly the operation
-      sequence the engines used before this seam existed, so results are
-      byte-identical to the historical dense path (it ignores the pattern
-      beyond its size).
-    - [Csr] uses {!Csr}: fill-reducing ordering and symbolic factorisation
-      computed once per topology at [compile] time; per-sample work only
-      refactors numeric values over the cached fill pattern.
-
-    Compiled systems are immutable and safe to share across domains;
-    {!val-real} / {!val-complex} allocate the mutable per-worker numeric
-    workspaces. *)
-
-(** Structural nonzero pattern of a square system. *)
-module Pattern : sig
-  type t
-  (** Immutable pattern: deduplicated, sorted rows. *)
-
-  type builder
-
-  val builder : int -> builder
-  (** [builder n] starts a pattern for an [n]x[n] system. *)
-
-  val add : builder -> int -> int -> unit
-  (** Record a strong structural entry — one assembled to a numerically
-      nonzero value by every analysis sharing the pattern.  Duplicates are
-      fine; [add] upgrades a previously weak entry. *)
-
-  val add_weak : builder -> int -> int -> unit
-  (** Record a weak structural entry: present in the pattern, but possibly
-      zero in some assemblies (capacitor-only MNA positions vanish in a DC
-      assembly).  The csr backend draws pivots from strong entries first,
-      so the no-pivoting factorisation never lands on a weak zero.  Never
-      downgrades an entry already recorded with [add]. *)
-
-  val build : builder -> t
-
-  val size : t -> int
-  val rows : t -> int array array
-  (** [rows p].(i) = sorted structural columns of row [i]. *)
-
-  val strong_rows : t -> int array array
-  (** Row-wise subset of {!rows} holding only the strong entries. *)
-
-  val mem : t -> int -> int -> bool
-
-  val builds : unit -> int
-  (** Global count of [build] calls in this process — lets tests assert
-      that a topology's pattern is built once and cached, not per sample. *)
-end
+    A workspace is mutable: allocate one per worker with {!val-real} /
+    {!val-complex}. *)
 
 type real = {
-  rn : int;  (** system size *)
   reset : unit -> unit;  (** zero the assembled values *)
   add : int -> int -> float -> unit;  (** accumulate an entry *)
   solve : float array -> float array;
@@ -67,7 +20,6 @@ type real = {
 (** Mutable workspace for one real system (DC / transient Newton step). *)
 
 type complex_sys = {
-  cn : int;
   creset : unit -> unit;  (** zero both assembled matrices *)
   add_g : int -> int -> float -> unit;  (** accumulate into G *)
   add_c : int -> int -> float -> unit;  (** accumulate into C *)
@@ -77,34 +29,14 @@ type complex_sys = {
 }
 (** Mutable workspace for one complex system of the form [G + jwC]. *)
 
-(** A linear-solver backend as a first-class module. *)
-module type S = sig
-  type compiled
-  (** Immutable per-topology state; safe to share across domains. *)
+val real : int -> real
+(** [real n]: a fresh workspace for an [n]x[n] real system. *)
 
-  val name : string
-  val compile : Pattern.t -> compiled
-  val real : compiled -> real
-  val complex : compiled -> complex_sys
-end
+val complex : int -> complex_sys
+(** [complex n]: a fresh workspace for an [n]x[n] complex system. *)
 
-type backend = Dense | Csr
-
-val backend_name : backend -> string
-val backend_of_string : string -> backend option
-val backend_names : string list
-(** Valid [--solver] names, in display order. *)
-
-type t
-(** A pattern compiled against a backend.  Immutable and domain-shareable;
-    call {!val-real} / {!val-complex} per worker for numeric workspaces. *)
-
-val compile : backend -> Pattern.t -> t
-val dense_of_size : int -> t
-(** Dense compiled system for an [n]x[n] pattern-less legacy call site;
-    equivalent to compiling a [Dense] backend (which ignores structure). *)
-
-val real : t -> real
-val complex : t -> complex_sys
-val name : t -> string
-val size : t -> int
+type backend = Dense
+(** Vestige of the retired solver choice: dense is the only backend, so
+    an optional [?solver:backend] argument has exactly one value and
+    selects nothing.  Kept only so existing callers that pass
+    [~solver:Dense] still compile; a later change drops it with them. *)

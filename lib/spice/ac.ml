@@ -23,16 +23,10 @@ let transfer ?sys circuit op ~out ~freqs =
     { freqs; response = Array.map (fun _ -> Complex.{ re = nan; im = nan }) freqs }
   else begin
     precheck circuit;
-    (* one code path for both solvers: without a session, a pattern-less
-       dense workspace reproduces the historical of_real+solve sequence *)
-    let s =
-      match sys with
-      | Some s -> s
-      | None -> Mna.dense_sys_of_layout op.Dcop.layout
-    in
-    let cs = Mna.sys_complex s in
+    let layout = Option.value sys ~default:op.Dcop.layout in
+    let cs = Linsys.complex (Mna.size layout) in
     let ops name = Dcop.mos_op op name in
-    let rhs = Mna.assemble_ac cs circuit (Mna.sys_layout s) ~ops in
+    let rhs = Mna.assemble_ac cs circuit layout ~ops in
     let response =
       Array.map
         (fun freq ->

@@ -15,10 +15,9 @@ val transfer :
   ?sys:Mna.sys -> Circuit.t -> Dcop.t -> out:Device.node ->
   freqs:float array -> bode
 (** Response observed at node [out] for each frequency, driven by the AC
-    magnitudes declared on the circuit's independent sources.  [sys] reuses
-    a pre-compiled {!Mna.sys} solver session (cached sparsity pattern /
-    symbolic factorisation); without it a pattern-less dense session
-    reproduces the historical path byte-for-byte. *)
+    magnitudes declared on the circuit's independent sources.  [sys] is the
+    circuit's precomputed {!Mna.sys} layout; without it the layout of the
+    operating point is used.  Either way the result is the same. *)
 
 val transfer_by_name :
   ?sys:Mna.sys -> Circuit.t -> Dcop.t -> out:string -> freqs:float array ->

@@ -110,15 +110,11 @@ let solve ?(options = default_options) ?x0_jitter ?sys ?models circuit =
       Error (Singular_system (Topology.issue_to_string issue))
   | [] ->
   let layout =
-    match sys with Some s -> Mna.sys_layout s | None -> Mna.layout circuit
+    match sys with Some l -> l | None -> Mna.layout circuit
   in
-  (* per-call numeric workspace: the compiled session (if any) is shared
+  (* per-call numeric workspace: the session's layout (if any) is shared
      across domains, the mutable assembly/factor state is not *)
-  let rs =
-    match sys with
-    | Some s -> Mna.sys_real s
-    | None -> Linsys.real (Linsys.dense_of_size (Mna.size layout))
-  in
+  let rs = Linsys.real (Mna.size layout) in
   let newton = newton rs ?models in
   let x0 = initial_guess circuit layout in
   (match x0_jitter with

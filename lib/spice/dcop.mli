@@ -57,12 +57,11 @@ val solve :
     [No_convergence], while [dcop.newton] and [dcop.gmin] fail one homotopy
     stage each, forcing the gmin-stepping / source-stepping fallbacks.
 
-    [sys] supplies a pre-compiled {!Mna.sys} solver session (layout +
-    cached structural pattern) for the circuit's topology — the batch-first
-    Monte Carlo path compiles it once per front point; without it a
-    pattern-less dense session reproduces the historical path
-    byte-for-byte.  [models] patches per-device MOSFET models for this
-    sample (see {!Mna.models}). *)
+    [sys] supplies the precomputed {!Mna.sys} layout of the circuit's
+    topology — the batch-first Monte Carlo path computes it once per front
+    point; without it the layout is rebuilt, with the same result.
+    [models] patches per-device MOSFET models for this sample (see
+    {!Mna.models}). *)
 
 val solve_with_retry :
   ?options:options -> ?budget_s:float -> ?sys:Mna.sys -> ?models:Mna.models ->

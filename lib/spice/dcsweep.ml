@@ -25,7 +25,7 @@ let run ?options ?sys ?models circuit ~source ~values =
   if Array.length values = 0 then invalid_arg "Dcsweep.run: empty sweep";
   validate_source circuit ~source;
   let layout =
-    match sys with Some s -> Mna.sys_layout s | None -> Mna.layout circuit
+    match sys with Some l -> l | None -> Mna.layout circuit
   in
   let solutions = Array.make (Array.length values) [||] in
   let exception Failed of Dcop.error in

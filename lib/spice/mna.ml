@@ -44,8 +44,8 @@ let model_override models di default =
   | Some arr -> ( match arr.(di) with Some m -> m | None -> default)
 
 (* Stamping helpers, over an [add row col value] accumulator (a Linsys
-   workspace, or a pattern builder); ground rows and columns are
-   skipped. *)
+   workspace, or the corner analysis's interval accumulator); ground rows
+   and columns are skipped. *)
 
 let stamp_g add a b g =
   if a <> Device.ground then add (a - 1) (a - 1) g;
@@ -127,68 +127,7 @@ let stamp_mosfet_dc add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l =
   inject rhs d ieq;
   inject rhs s (-.ieq)
 
-(* ---------- structural pattern, built once per topology ---------- *)
-
-(* Union of every structural position any analysis stamps for this circuit:
-   the DC Newton system (gmin node diagonal, conductances, branch rows,
-   transconductances), the AC system (capacitor and MOS-capacitance
-   positions, leak diagonal), and the transient companion models (the same
-   capacitive pairs as conductances).  One superset pattern per topology
-   keeps a single cached symbolic factorisation valid for all of them at
-   the cost of a little extra fill. *)
-let pattern circuit l =
-  let bld = Linsys.Pattern.builder l.size in
-  let add i j = Linsys.Pattern.add bld i j in
-  (* capacitor-only positions are numerically zero in a DC assembly, so
-     they enter the pattern as weak entries: structurally present (the AC
-     and transient assemblies fill them) but never eligible as a pivot of
-     the csr transversal *)
-  let add_weak i j = Linsys.Pattern.add_weak bld i j in
-  let pg a b = stamp_g (fun i j _ -> add i j) a b 1. in
-  let pc a b = stamp_g (fun i j _ -> add_weak i j) a b 1. in
-  let pgm op_node on_node cp cn =
-    stamp_gm (fun i j _ -> add i j) op_node on_node cp cn 1.
-  in
-  for i = 0 to l.n_nodes - 1 do
-    add i i
-  done;
-  Array.iter
-    (fun dev ->
-      match dev with
-      | Device.Resistor { n1; n2; _ } -> pg n1 n2
-      | Device.Capacitor { n1; n2; _ } -> pc n1 n2
-      | Device.Vsource { name; npos; nneg; _ } ->
-          stamp_branch (fun i j _ -> add i j) l ~name ~npos ~nneg
-      | Device.Isource _ -> ()
-      | Device.Vccs { out_p; out_n; in_p; in_n; _ } -> pgm out_p out_n in_p in_n
-      | Device.Mosfet { d; g; s; b; _ } ->
-          pgm d s g s;
-          pg d s;
-          pgm d s b s;
-          (* capacitive pairs: AC C stamps and transient companion models *)
-          pc g s;
-          pc g d;
-          pc d b;
-          pc s b)
-    (Circuit.devices circuit);
-  Linsys.Pattern.build bld
-
-type sys = { sys_layout : layout; compiled : Linsys.t }
-
-let sys ?(backend = Linsys.Dense) circuit =
-  let l = layout circuit in
-  { sys_layout = l; compiled = Linsys.compile backend (pattern circuit l) }
-
-let dense_sys_of_layout l =
-  { sys_layout = l; compiled = Linsys.dense_of_size l.size }
-
-let sys_layout s = s.sys_layout
-
-let sys_real s = Linsys.real s.compiled
-
-let sys_complex s = Linsys.complex s.compiled
-
-let sys_solver_name s = Linsys.name s.compiled
+type sys = layout
 
 (* ---------- assembly ---------- *)
 

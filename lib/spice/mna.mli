@@ -1,5 +1,4 @@
-(** Modified nodal analysis: system layout, structural pattern, and matrix
-    stamping.
+(** Modified nodal analysis: system layout and matrix stamping.
 
     Unknown vector layout: entries [0 .. n_nodes-1] are the voltages of nodes
     [1 .. n_nodes] (ground is eliminated), followed by one branch current per
@@ -36,37 +35,14 @@ val model_override : models option -> int -> Mosfet.model -> Mosfet.model
 (** [model_override models di nominal] resolves the effective model of
     device index [di]. *)
 
-(** {1 Solver sessions}
+(** {1 Sessions} *)
 
-    A [sys] pairs a layout with a compiled {!Yield_numeric.Linsys} system:
-    the structural pattern is built and symbolically analysed once per
-    topology, then every sample only re-assembles numeric values.  A [sys]
-    is immutable and safe to share across domains; the per-worker numeric
-    workspaces come from {!sys_real} / {!sys_complex}. *)
-
-type sys
-
-val sys : ?backend:Yield_numeric.Linsys.backend -> Circuit.t -> sys
-(** Build the layout and the structural pattern (the union of every
-    position any analysis stamps for this topology: DC Newton, AC,
-    transient companion models), and compile it, so one cached symbolic
-    factorisation serves them all.  [backend] defaults to
-    [Dense].  Valid for every circuit sharing this topology (any
-    [Circuit.map_devices] image: same nodes, same device order). *)
-
-val dense_sys_of_layout : layout -> sys
-(** Pattern-less dense session for legacy single-shot call sites; behaves
-    exactly like the historical direct [Mat]/[Lu]/[Cmat] path. *)
-
-val sys_layout : sys -> layout
-
-val sys_real : sys -> Yield_numeric.Linsys.real
-(** Allocate a mutable real workspace (call once per worker). *)
-
-val sys_complex : sys -> Yield_numeric.Linsys.complex_sys
-(** Allocate a mutable complex workspace (call once per worker). *)
-
-val sys_solver_name : sys -> string
+type sys = layout
+(** The per-topology state a solve carries between samples: only the
+    layout.  A testbench session computes it once per design point, so
+    each sample's DC and AC solve skips rebuilding it (the engines' [?sys]
+    argument); the numeric workspaces come from
+    {!Yield_numeric.Linsys.real} / {!Yield_numeric.Linsys.complex}. *)
 
 (** {1 Assembly}
 

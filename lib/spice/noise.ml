@@ -87,11 +87,8 @@ let collect_sources ?models flicker circuit (op : Dcop.t) =
 
 let output_noise ?(flicker = default_flicker) ?sys ?models circuit op ~out
     ~freqs =
-  let s =
-    match sys with Some s -> s | None -> Mna.dense_sys_of_layout op.Dcop.layout
-  in
-  let layout = Mna.sys_layout s in
-  let cs = Mna.sys_complex s in
+  let layout = Option.value sys ~default:op.Dcop.layout in
+  let cs = Linsys.complex (Mna.size layout) in
   let ops name = Dcop.mos_op op name in
   let _ = Mna.assemble_ac cs circuit layout ~ops in
   let sources = collect_sources ?models flicker circuit op in

@@ -72,16 +72,12 @@ let initial_circuit circuit =
 
 let run ?sys ?models options circuit =
   let layout =
-    match sys with Some s -> Mna.sys_layout s | None -> Mna.layout circuit
+    match sys with Some l -> l | None -> Mna.layout circuit
   in
   let devices = Circuit.devices circuit in
-  (* one numeric workspace reused across all steps and Newton iterations; a
-     dense one reproduces the historical fresh-matrix path byte-for-byte *)
-  let rs =
-    match sys with
-    | Some s -> Mna.sys_real s
-    | None -> Linsys.real (Linsys.dense_of_size (Mna.size layout))
-  in
+  (* one numeric workspace reused across all steps and Newton iterations;
+     it reproduces the historical fresh-matrix path byte-for-byte *)
+  let rs = Linsys.real (Mna.size layout) in
   match Dcop.solve ?sys ?models (initial_circuit circuit) with
   | Error e -> Error (Dc_failed e)
   | Ok op0 -> begin

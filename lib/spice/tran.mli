@@ -39,8 +39,8 @@ val run :
   ?sys:Mna.sys -> ?models:Mna.models -> options -> Circuit.t ->
   (t, error) Stdlib.result
 (** Solves the DC operating point (waveform values at t = 0), then
-    integrates to [t_stop].  [sys] reuses a pre-compiled {!Mna.sys} solver
-    session for the circuit's topology; [models] applies per-sample MOSFET
+    integrates to [t_stop].  [sys] is the precomputed {!Mna.sys} layout of
+    the circuit's topology; [models] applies per-sample MOSFET
     model overrides (see {!Mna.models}). *)
 
 val voltage : t -> Device.node -> float array

@@ -320,8 +320,6 @@ let lint_view jobs =
     control = "3E";
     seed = 47;
     jobs;
-    solver = "dense";
-    system_size = None;
     fingerprint = "v1;test";
   }
 

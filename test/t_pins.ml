@@ -13,6 +13,9 @@ module Ac = Yield_spice.Ac
 module Tech = Yield_process.Tech
 module Ota = Yield_circuits.Ota
 module Ota_tb = Yield_circuits.Ota_testbench
+module Miller_tb = Yield_circuits.Miller_testbench
+module Variation = Yield_process.Variation
+module Rng = Yield_stats.Rng
 module CL = Yield_analyse.Corner_lint
 module I = Yield_analyse.Interval
 
@@ -214,6 +217,48 @@ let test_corner_ota () =
     (corner_endpoints ~k_sigma:0.5 ~ac:(10, 10., 1e9, "out")
        ~window:{ CL.min_gain_db = 0.; min_pm_deg = 0. } "ota_testbench.cir")
 
+(* ---------- Monte Carlo hot path: sampled evaluation in a session ---------- *)
+
+(* gain, PM and unity-gain frequency of seeds 11-13 at default params,
+   through the DC + AC solves every Monte Carlo sample runs: a change in
+   the dense factor/solve arithmetic order moves these even when both
+   sides of a path-vs-path bit-identity test move together *)
+let session_perf_hex evaluate =
+  Array.concat
+    (List.map
+       (fun seed ->
+         match evaluate ~spec:Variation.default_spec ~rng:(Rng.create seed) with
+         | None -> [| "none" |]
+         | Some (p : Yield_circuits.Testbench.perf) ->
+             [|
+               hex p.Yield_circuits.Testbench.gain_db;
+               hex p.Yield_circuits.Testbench.phase_margin_deg;
+               hex p.Yield_circuits.Testbench.unity_gain_hz;
+             |])
+       [ 11; 12; 13 ])
+
+let ota_session_expected =
+  [|
+    "0x1.6ecfed9923dbdp+5"; "0x1.44d4941b80fcp+6"; "0x1.410f29e811bdfp+23";
+    "0x1.6f0796dc2f5e6p+5"; "0x1.447279ac710fdp+6"; "0x1.3ea6b8361b4e9p+23";
+    "0x1.706091176de5ap+5"; "0x1.4621b82f021cap+6"; "0x1.39f379b71f504p+23";
+  |]
+
+let miller_session_expected =
+  [|
+    "0x1.5d7a93dab1b8ap+6"; "0x1.60f128ebc9c28p+5"; "0x1.ae13bea82e334p+22";
+    "0x1.5cb2432209358p+6"; "0x1.63298f2874b7p+5"; "0x1.be241eaee1f4bp+22";
+    "0x1.5dff5386b4ef2p+6"; "0x1.5c6c48be7ddd8p+5"; "0x1.bb3aecc449bdbp+22";
+  |]
+
+let test_session_samples () =
+  let ota = Ota_tb.session Ota.default_params in
+  check_hex "OTA session samples" ota_session_expected
+    (session_perf_hex (Ota_tb.evaluate_in_session ota));
+  let miller = Miller_tb.session Yield_circuits.Miller.default_params in
+  check_hex "Miller session samples" miller_session_expected
+    (session_perf_hex (Miller_tb.evaluate_in_session miller))
+
 let suites =
   [
     ( "pins",
@@ -223,5 +268,6 @@ let suites =
         Alcotest.test_case "corner_amp enclosure %h" `Quick test_corner_amp;
         Alcotest.test_case "corner_fail enclosure %h" `Quick test_corner_fail;
         Alcotest.test_case "ota_testbench enclosure %h" `Quick test_corner_ota;
+        Alcotest.test_case "MC session samples %h" `Quick test_session_samples;
       ] );
   ]
