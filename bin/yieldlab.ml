@@ -54,8 +54,6 @@ open Cmdliner
 type obs_opts = {
   trace : string option;
   metrics : string option;
-  trace_stream : string option;
-  span_sample : string option;
   snapshot_every : float option;
   verbose : bool;
   fault_spec : string option;
@@ -67,9 +65,12 @@ let obs_term =
     Arg.(
       value
       & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE.json"
+      & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "write a Chrome trace_event file of the run's spans (open in \
+            "stream every span to FILE as it closes (crash-tolerant, one \
+             flushed line per event): a $(b,.jsonl) FILE gets JSONL lines \
+             and, at exit, the final counter and histogram lines; any other \
+             $(b,.json) FILE grows a Chrome trace_event array (open in \
              chrome://tracing or ui.perfetto.dev)")
   in
   let metrics =
@@ -77,33 +78,7 @@ let obs_term =
       value
       & opt (some string) None
       & info [ "metrics" ] ~docv:"FILE.jsonl"
-          ~doc:
-            "write a JSONL log of counters, histogram summaries and span \
-             events")
-  in
-  let trace_stream =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-stream" ] ~docv:"FILE"
-          ~doc:
-            "stream every span event to FILE as it happens (crash-tolerant, \
-             one flushed line per event): $(b,.jsonl) appends JSONL lines, \
-             any other $(b,.json) grows a Chrome trace array.  Unlike \
-             $(b,--trace)/$(b,--metrics), the stream sees the complete \
-             event log even when it exceeds the in-memory span window")
-  in
-  let span_sample =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "span-sample" ] ~docv:"SPEC"
-          ~doc:
-            "thin high-frequency spans deterministically, e.g. \
-             'mc.batch=0.1;exec.*=0'.  NAME=RATE clauses separated by ';' \
-             or ','; a trailing $(b,*) matches by prefix.  Decisions hash \
-             the span's (name, key) only, so the kept set is identical at \
-             any $(b,--jobs) count.  Metrics still see every span")
+          ~doc:"write a JSONL log of counters and histogram summaries at exit")
   in
   let snapshot_every =
     Arg.(
@@ -111,7 +86,7 @@ let obs_term =
       & opt (some float) None
       & info [ "snapshot-every" ] ~docv:"SECONDS"
           ~doc:
-            "with $(b,--trace-stream), also append a metrics-delta snapshot \
+            "with $(b,--trace), also append a metrics-delta snapshot \
              line every SECONDS seconds (progress counters survive a crash)")
   in
   let verbose =
@@ -146,20 +121,9 @@ let obs_term =
              runs serially")
   in
   Term.(
-    const (fun trace metrics trace_stream span_sample snapshot_every verbose
-               fault_spec jobs ->
-        {
-          trace;
-          metrics;
-          trace_stream;
-          span_sample;
-          snapshot_every;
-          verbose;
-          fault_spec;
-          jobs;
-        })
-    $ trace $ metrics $ trace_stream $ span_sample $ snapshot_every $ verbose
-    $ fault_spec $ jobs)
+    const (fun trace metrics snapshot_every verbose fault_spec jobs ->
+        { trace; metrics; snapshot_every; verbose; fault_spec; jobs })
+    $ trace $ metrics $ snapshot_every $ verbose $ fault_spec $ jobs)
 
 (* run a subcommand under the telemetry options, flushing the sinks on the
    way out (also when the command raises) *)
@@ -168,31 +132,20 @@ let with_obs opts run =
   (* record the global flag before any subcommand reads the config: every
      Yield_exec.Jobs.resolve () from here on sees it *)
   Yield_exec.Jobs.set_requested opts.jobs;
-  (match opts.span_sample with
-  | None -> ()
-  | Some spec -> begin
-      match Obs.set_span_sample spec with
-      | Ok () -> ()
-      | Error msg ->
-          Printf.eprintf "yieldlab: bad --span-sample: %s\n" msg;
-          exit 2
-    end);
   (match opts.snapshot_every with
-  | Some s when s <= 0. ->
-      Printf.eprintf "yieldlab: --snapshot-every must be positive\n";
+  | Some s when not (Float.is_finite s && s > 0.) ->
+      Printf.eprintf "yieldlab: --snapshot-every must be finite and positive\n";
       exit 2
-  | Some _ when opts.trace_stream = None ->
-      Printf.eprintf "yieldlab: --snapshot-every needs --trace-stream\n";
+  | Some _ when opts.trace = None ->
+      Printf.eprintf "yieldlab: --snapshot-every needs --trace\n";
       exit 2
   | Some _ | None -> ());
-  (match opts.trace_stream with
+  (match opts.trace with
   | None -> ()
   | Some path -> begin
-      (* armed before the run so the CLI flags win over any
-         YIELDLAB_TRACE_STREAM the flow config would apply *)
       try Obs.start_stream ?snapshot_every_s:opts.snapshot_every ~path ()
       with Sys_error msg ->
-        Printf.eprintf "yieldlab: cannot open --trace-stream: %s\n" msg;
+        Printf.eprintf "yieldlab: cannot open --trace: %s\n" msg;
         exit 1
     end);
   (match opts.fault_spec with
@@ -219,12 +172,22 @@ let with_obs opts run =
   let flush () =
     (* the stream first: its final snapshot and metric lines must include
        everything the run recorded *)
-    Obs.stop_stream ();
-    (try Obs.flush ?trace:opts.trace ?metrics:opts.metrics ()
-     with Sys_error msg ->
-       Printf.eprintf "yieldlab: cannot write telemetry: %s\n" msg;
-       exit 1);
-    if opts.verbose then prerr_string (Obs.summary ())
+    let stream = Obs.stop_stream () in
+    let metrics =
+      match opts.metrics with
+      | None -> Ok ()
+      | Some path -> (
+          try Ok (Yield_obs.Sink.write_metrics_jsonl ~path ())
+          with Sys_error msg -> Error msg)
+    in
+    let failures =
+      List.filter_map
+        (function Ok () -> None | Error msg -> Some msg)
+        [ stream; metrics ]
+    in
+    if opts.verbose then prerr_string (Obs.summary ());
+    List.iter (Printf.eprintf "yieldlab: cannot write telemetry: %s\n") failures;
+    if failures <> [] then exit 1
   in
   Fun.protect ~finally:flush (fun () ->
       try run ()
@@ -508,7 +471,6 @@ let flow fast topology out_dir checkpoint_dir resume no_preflight prescreen =
     {
       config with
       Config.jobs = Yield_exec.Jobs.resolve ();
-      telemetry = Config.telemetry_of_env ();
       prescreen;
     }
   in

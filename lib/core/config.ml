@@ -1,9 +1,3 @@
-type telemetry = {
-  trace_stream : string option;
-  span_sample : string option;
-  snapshot_every_s : float option;
-}
-
 type prescreen = {
   enabled : bool;
   k_sigma : float;
@@ -21,12 +15,8 @@ type t = {
   control : string;
   seed : int;
   jobs : int;
-  telemetry : telemetry;
   prescreen : prescreen;
 }
-
-let no_telemetry =
-  { trace_stream = None; span_sample = None; snapshot_every_s = None }
 
 let no_prescreen =
   {
@@ -52,7 +42,6 @@ let paper_scale =
     control = "3E";
     seed = 2008;
     jobs = 1;
-    telemetry = no_telemetry;
     prescreen = no_prescreen;
   }
 
@@ -67,20 +56,6 @@ let fast_scale =
       };
     mc_samples = 40;
     front_stride = 4;
-  }
-
-let telemetry_of_env () =
-  let nonempty k =
-    match Sys.getenv_opt k with Some "" | None -> None | Some v -> Some v
-  in
-  {
-    trace_stream = nonempty "YIELDLAB_TRACE_STREAM";
-    span_sample = nonempty "YIELDLAB_SPAN_SAMPLE";
-    snapshot_every_s =
-      Option.bind (nonempty "YIELDLAB_SNAPSHOT_EVERY") (fun v ->
-          match float_of_string_opt v with
-          | Some s when s > 0. -> Some s
-          | Some _ | None -> None);
   }
 
 let prescreen_of_env () =
@@ -116,16 +91,14 @@ let of_env () =
   {
     base with
     jobs = Yield_exec.Jobs.resolve ();
-    telemetry = telemetry_of_env ();
     prescreen = prescreen_of_env ();
   }
 
 let fingerprint t =
   (* everything the checkpointed stages' determinism depends on; resuming
-     under a different fingerprint is refused.  [jobs] and [telemetry] are
-     deliberately absent: results are jobs-independent and observability
-     never feeds back into them, so a serial checkpoint may be resumed
-     under a pool, with or without a trace stream *)
+     under a different fingerprint is refused.  [jobs] is deliberately
+     absent: results are jobs-independent, so a serial checkpoint may be
+     resumed under a pool *)
   let base =
     Printf.sprintf "v1;seed=%d;pop=%d;gens=%d;mc=%d;stride=%d;control=%s"
       t.seed t.ga.Yield_ga.Ga.population_size t.ga.Yield_ga.Ga.generations

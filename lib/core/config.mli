@@ -1,19 +1,5 @@
 (** Configuration of the full model-generation flow (Figure 3). *)
 
-type telemetry = {
-  trace_stream : string option;
-      (** stream span events incrementally to this path
-          ([.jsonl] → JSONL, other [.json] → Chrome trace) *)
-  span_sample : string option;
-      (** deterministic span-sampling spec, e.g. ["mc.batch=0.1;exec.*=0"] *)
-  snapshot_every_s : float option;
-      (** periodic metrics-delta snapshots into the stream *)
-}
-(** Runtime observability knobs — never part of {!fingerprint}, since they
-    cannot affect results.  {!Flow.run} arms them idempotently
-    ({!Yield_obs.Obs.ensure_telemetry}), so CLI flags applied earlier
-    always win over env-derived values. *)
-
 type prescreen = {
   enabled : bool;
   k_sigma : float;
@@ -46,7 +32,6 @@ type t = {
           evaluation, Pareto-front re-simulation, Monte Carlo batches);
           [1] takes the exact serial code path.  Results are
           jobs-independent, so [jobs] is excluded from {!fingerprint}. *)
-  telemetry : telemetry;
   prescreen : prescreen;
 }
 
@@ -66,8 +51,8 @@ val of_env : unit -> t
 (** [paper_scale], or [fast_scale] when the environment variable
     [YIELDLAB_FAST] is set to a non-empty value other than ["0"]; [jobs] is
     resolved through {!Yield_exec.Jobs.resolve} (CLI request >
-    [YIELDLAB_JOBS] > recommended domain count); [telemetry] from
-    {!telemetry_of_env}; [prescreen] from {!prescreen_of_env}. *)
+    [YIELDLAB_JOBS] > recommended domain count); [prescreen] from
+    {!prescreen_of_env}. *)
 
 val prescreen_of_env : unit -> prescreen
 (** Enabled by [YIELDLAB_PRESCREEN] (non-empty, non-["0"]); then
@@ -75,11 +60,6 @@ val prescreen_of_env : unit -> prescreen
     [YIELDLAB_PRESCREEN_MIN_PM] and [YIELDLAB_PRESCREEN_PASS_BUDGET]
     override the {!no_prescreen} defaults (non-numeric values are ignored;
     the budget fraction must land in (0, 1]). *)
-
-val telemetry_of_env : unit -> telemetry
-(** [YIELDLAB_TRACE_STREAM] (path), [YIELDLAB_SPAN_SAMPLE] (spec) and
-    [YIELDLAB_SNAPSHOT_EVERY] (seconds; non-numeric or [<= 0] values are
-    ignored).  Empty variables count as unset. *)
 
 val scale_name : t -> string
 

@@ -9,7 +9,6 @@ module Macromodel = Yield_behavioural.Macromodel
 module Yield_target = Yield_behavioural.Yield_target
 module Metrics = Yield_obs.Metrics
 module Span = Yield_obs.Span
-module Obs = Yield_obs.Obs
 module Json = Yield_obs.Json
 module Fault = Yield_resilience.Fault
 module Pool = Yield_exec.Pool
@@ -292,11 +291,6 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
 
   let run ?(log = nop) ?(preflight = true) ?checkpoint_dir ?(resume = false)
       (config : Config.t) =
-    (* idempotent: a stream/sampler armed by CLI flags stays in charge *)
-    Obs.ensure_telemetry
-      ?trace_stream:config.Config.telemetry.Config.trace_stream
-      ?span_sample:config.Config.telemetry.Config.span_sample
-      ?snapshot_every_s:config.Config.telemetry.Config.snapshot_every_s ();
     if preflight then preflight_check ?checkpoint_dir ~resume ~log config;
     let conditions = config.Config.conditions in
     let ckpt =

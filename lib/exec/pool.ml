@@ -30,11 +30,9 @@ type t = {
 let jobs t = t.jobs
 
 (* claim and run items until the job is drained (or poisoned by a raise);
-   the per-participant span durations give the domain utilisation.  [slot]
-   is the participant's fixed ordinal (caller 0, workers 1..jobs-1): a
-   stable span key, so sampling keeps the same slots at any interleaving *)
-let run_items ~slot job =
-  Span.with_ ~name:"exec.worker" ~key:slot (fun () ->
+   the per-participant span durations give the domain utilisation *)
+let run_items job =
+  Span.with_ ~name:"exec.worker" (fun () ->
       let rec loop () =
         let i = Atomic.fetch_and_add job.next 1 in
         if i < job.count && Atomic.get job.failure = None then begin
@@ -54,7 +52,7 @@ let finish_participation t job =
     Mutex.unlock t.lock
   end
 
-let rec worker_loop t ~slot last_epoch =
+let rec worker_loop t last_epoch =
   Mutex.lock t.lock;
   let rec await () =
     if t.stop then `Stop
@@ -70,9 +68,9 @@ let rec worker_loop t ~slot last_epoch =
   match next with
   | `Stop -> ()
   | `Job (epoch, job) ->
-      run_items ~slot job;
+      run_items job;
       finish_participation t job;
-      worker_loop t ~slot epoch
+      worker_loop t epoch
 
 let create ~jobs () =
   let jobs = Stdlib.max 1 jobs in
@@ -89,8 +87,7 @@ let create ~jobs () =
     }
   in
   t.workers <-
-    List.init (jobs - 1) (fun i ->
-        Domain.spawn (fun () -> worker_loop t ~slot:(i + 1) 0));
+    List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t 0));
   t
 
 let shutdown t =
@@ -129,7 +126,7 @@ let run_job t ~count run =
     Mutex.unlock t.lock;
     (* the caller is a participant too, so [jobs = 2] means two busy
        domains, not one worker plus an idle coordinator *)
-    run_items ~slot:0 job;
+    run_items job;
     finish_participation t job;
     Mutex.lock t.lock;
     while Atomic.get job.pending > 0 do

@@ -122,9 +122,7 @@ let run ?on_generation ?resume config encoding rng ~score =
   in
   let best = ref resumed_best in
   for gen = start_gen to config.generations - 1 do
-    (* the generation number is the span key: a natural, jobs-independent
-       sampling identity *)
-    Span.with_ ~name:"ga.generation" ~key:gen (fun () ->
+    Span.with_ ~name:"ga.generation" (fun () ->
         let evaluated = evaluate !population in
         Array.iter
           (fun e ->

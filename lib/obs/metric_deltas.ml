@@ -9,7 +9,8 @@ type t = {
 }
 
 let create ~every_s ~emit =
-  if every_s <= 0. then invalid_arg "Metric_deltas.create: every_s <= 0";
+  if not (Float.is_finite every_s && every_s > 0.) then
+    invalid_arg "Metric_deltas.create: every_s must be finite and positive";
   {
     every_s;
     emit;

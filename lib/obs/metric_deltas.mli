@@ -8,13 +8,13 @@
     histograms that changed since the previous snapshot — current value
     plus delta — so a consumer can follow progress (simulations run, GA
     generations, cache hits) from the stream alone, even if the process
-    later dies before the exit-time sinks run. *)
+    later dies before it writes its final metric lines. *)
 
 type t
 
 val create : every_s:float -> emit:(Json.t -> unit) -> t
 (** Arm an emitter; the first snapshot is due [every_s] seconds from now.
-    @raise Invalid_argument when [every_s <= 0]. *)
+    @raise Invalid_argument unless [every_s] is finite and positive. *)
 
 val tick : t -> unit
 (** Emit a snapshot when the interval has elapsed, otherwise return

@@ -1,9 +1,6 @@
-let verbose_flag = ref false
-
 let verbose_sub : int option ref = ref None
 
 let set_verbose v =
-  verbose_flag := v;
   match (v, !verbose_sub) with
   | true, None ->
       verbose_sub :=
@@ -19,13 +16,7 @@ let set_verbose v =
       verbose_sub := None
   | _ -> ()
 
-let verbose () = !verbose_flag
-
-(* ---------- span sampling ---------- *)
-
-let set_span_sample spec = Sampler.configure spec
-
-(* ---------- the streaming sink ---------- *)
+(* ---------- the trace stream ---------- *)
 
 type stream_state = {
   stream : Stream.t;
@@ -39,14 +30,18 @@ let stream_active () = Option.is_some !active
 
 let start_stream ?snapshot_every_s ~path () =
   match !active with
-  | Some _ -> () (* first stream wins; CLI flags are applied before config *)
+  | Some _ -> ()
   | None ->
       let stream = Stream.create ~path () in
       let snapshot =
-        Option.map
-          (fun every_s ->
-            Metric_deltas.create ~every_s ~emit:(Stream.write_json stream))
-          snapshot_every_s
+        try
+          Option.map
+            (fun every_s ->
+              Metric_deltas.create ~every_s ~emit:(Stream.write_json stream))
+            snapshot_every_s
+        with Invalid_argument _ as e ->
+          ignore (Stream.close stream);
+          raise e
       in
       let sub =
         Span.subscribe (fun phase e ->
@@ -59,13 +54,13 @@ let start_stream ?snapshot_every_s ~path () =
 
 let stop_stream () =
   match !active with
-  | None -> ()
+  | None -> Ok ()
   | Some { stream; sub; snapshot } ->
       active := None;
       Span.unsubscribe sub;
       Option.iter Metric_deltas.force snapshot;
       (* final registry state as ordinary metric lines, so the stream alone
-         reconstructs what the exit-time JSONL sink would have written *)
+         holds what a --metrics file would *)
       if Stream.format stream = Stream.Jsonl then begin
         let snap = Metrics.snapshot () in
         List.iter
@@ -77,39 +72,4 @@ let stop_stream () =
       end;
       Stream.close stream
 
-(* ---------- idempotent env/config arming (CLI flags win) ---------- *)
-
-let ensure_telemetry ?trace_stream ?span_sample ?snapshot_every_s () =
-  (match span_sample with
-  | Some spec when not (Sampler.active ()) -> (
-      match Sampler.configure spec with
-      | Ok () -> ()
-      | Error msg ->
-          Printf.eprintf "warning: ignoring span-sample spec %S: %s\n%!" spec
-            msg)
-  | _ -> ());
-  match trace_stream with
-  | Some path when not (stream_active ()) ->
-      start_stream ?snapshot_every_s ~path ()
-  | _ -> ()
-
-(* ---------- exit-time sinks ---------- *)
-
-let flush ?trace ?metrics () =
-  Option.iter (fun path -> Sink.write_chrome_trace ~path ()) trace;
-  Option.iter (fun path -> Sink.write_metrics_jsonl ~path ()) metrics
-
-let summary () =
-  let base = Sink.text_of ~spans:(Span.events ()) (Metrics.snapshot ()) in
-  match Span.dropped () with
-  | 0 -> base
-  | n ->
-      Printf.sprintf
-        "%s(span ring: %d older events rotated out; the full log is only in \
-         a --trace-stream file)\n"
-        base n
-
-let reset () =
-  Span.clear ();
-  Span.reset_keys ();
-  Metrics.reset ()
+let summary () = Sink.text_of (Metrics.snapshot ())

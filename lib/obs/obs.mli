@@ -1,60 +1,32 @@
 (** Facade over the telemetry subsystem: the pieces an entry point needs.
 
     Recording (spans, counters, histograms) is always on — it is cheap
-    enough that the fast-scale flow pays well under 2 % — and memory is
-    bounded regardless of run length: span events live in a fixed-size
-    ring ({!Span.set_ring_capacity}).  Nothing is written anywhere unless
-    a streaming sink is armed ({!start_stream}) or {!flush} is called
-    with explicit paths at exit. *)
+    enough that the fast-scale flow pays well under 2 % — and no span is
+    held in memory.  Nothing is written anywhere unless the trace stream
+    is armed ({!start_stream}) or the caller writes the metric registry
+    ({!Sink.write_metrics_jsonl}). *)
 
 val set_verbose : bool -> unit
-(** When on, every kept span prints a line to stderr as it closes (an
-    indented live trace). *)
-
-val verbose : unit -> bool
-
-val set_span_sample : string -> (unit, string) result
-(** Install a sampling spec ([NAME=RATE;...], trailing [*] for prefix
-    match — see {!Sampler.configure}).  [Error] describes the bad clause;
-    nothing is installed on error. *)
+(** When on, every span prints a line to stderr as it closes (an indented
+    live trace). *)
 
 val start_stream : ?snapshot_every_s:float -> path:string -> unit -> unit
-(** Arm the streaming sink: every kept span event is appended to [path]
-    as it happens ([.jsonl] → JSONL, other [.json] → Chrome trace; see
+(** Arm the trace stream: every span event is appended to [path] as it
+    happens ([.jsonl] → JSONL, other [.json] → Chrome trace; see
     {!Stream}).  With [snapshot_every_s], periodic metrics-delta
     snapshots ride the same stream.  A no-op when a stream is already
-    active (first caller wins, so CLI flags beat env/config).
-    @raise Sys_error when the path is unwritable. *)
+    active.
+    @raise Sys_error when the path cannot be opened.
+    @raise Invalid_argument when [snapshot_every_s] is not finite and
+    positive. *)
 
 val stream_active : unit -> bool
 
-val stop_stream : unit -> unit
+val stop_stream : unit -> (unit, string) result
 (** Final snapshot, final counter/histogram lines (JSONL format only),
-    close the file.  A no-op when no stream is active. *)
-
-val ensure_telemetry :
-  ?trace_stream:string ->
-  ?span_sample:string ->
-  ?snapshot_every_s:float ->
-  unit ->
-  unit
-(** Idempotently arm telemetry from config/env values: the sampler is only
-    configured when no spec is installed, the stream only started when
-    none is active — so explicit CLI flags (applied earlier) always win.
-    A malformed [span_sample] spec warns on stderr instead of raising
-    (config telemetry must not kill a run). *)
-
-val flush : ?trace:string -> ?metrics:string -> unit -> unit
-(** Write the Chrome trace and/or the JSONL metric+event log to the given
-    paths (see {!Sink}).  Omitted sinks write nothing.  These exit-time
-    sinks see only the span ring window; a {!start_stream} file has the
-    complete event log. *)
+    close the file.  [Error] carries the write error that cut the stream
+    short; it is reported by this call only.  [Ok ()] when no stream is
+    active. *)
 
 val summary : unit -> string
-(** Human-readable dump of the current metric snapshot and span events,
-    with a note when the ring has rotated events out. *)
-
-val reset : unit -> unit
-(** Clear span events, restart span-key sequences and zero all metrics: a
-    fresh slate between independent runs in one process.  Listeners and
-    any active stream stay armed. *)
+(** Human-readable dump of the current metric snapshot. *)

@@ -10,8 +10,6 @@ let chrome_event (e : Span.event) =
       ("tid", Json.Int e.Span.tid);
     ]
 
-let chrome_trace_of_events events = Json.List (List.map chrome_event events)
-
 let counter_json (name, v) =
   Json.Obj
     [
@@ -48,10 +46,10 @@ let span_json (e : Span.event) =
       ("dur_us", Json.Float e.Span.dur_us);
       ("tid", Json.Int e.Span.tid);
       ("depth", Json.Int e.Span.depth);
-      ("key", Json.Int e.Span.key);
     ]
 
-(* inverse of [span_json], tolerant of a missing [key] (older logs) *)
+(* inverse of [span_json]; fields it does not know (the [key] of older
+   logs) are ignored *)
 let span_of_json j =
   let number k = Option.bind (Json.member k j) Json.number_value in
   let int k = Option.map int_of_float (number k) in
@@ -60,18 +58,10 @@ let span_of_json j =
      number "ts_us", number "dur_us", int "tid", int "depth")
   with
   | Some name, Some ts_us, Some dur_us, Some tid, Some depth ->
-      Some
-        {
-          Span.name;
-          ts_us;
-          dur_us;
-          tid;
-          depth;
-          key = Option.value (int "key") ~default:0;
-        }
+      Some { Span.name; ts_us; dur_us; tid; depth }
   | _ -> None
 
-let jsonl_of ?(spans = []) (snap : Metrics.snapshot) =
+let jsonl_of (snap : Metrics.snapshot) =
   let b = Buffer.create 1024 in
   let line j =
     Buffer.add_string b (Json.to_string j);
@@ -79,10 +69,9 @@ let jsonl_of ?(spans = []) (snap : Metrics.snapshot) =
   in
   List.iter (fun c -> line (counter_json c)) snap.Metrics.counters;
   List.iter (fun h -> line (histogram_json h)) snap.Metrics.histograms;
-  List.iter (fun e -> line (span_json e)) spans;
   Buffer.contents b
 
-let text_of ?(spans = []) (snap : Metrics.snapshot) =
+let text_of (snap : Metrics.snapshot) =
   let b = Buffer.create 1024 in
   if snap.Metrics.counters <> [] then begin
     Buffer.add_string b "counters:\n";
@@ -104,14 +93,6 @@ let text_of ?(spans = []) (snap : Metrics.snapshot) =
             s.Histogram.p95 s.Histogram.p99 s.Histogram.min s.Histogram.max)
       snap.Metrics.histograms
   end;
-  if spans <> [] then begin
-    Printf.bprintf b "spans (%d events):\n" (List.length spans);
-    List.iter
-      (fun (e : Span.event) ->
-        Printf.bprintf b "  %*s%-28s %10.3f ms (tid %d)\n" (2 * e.Span.depth)
-          "" e.Span.name (e.Span.dur_us /. 1e3) e.Span.tid)
-      spans
-  end;
   Buffer.contents b
 
 (* atomic (temp + rename), open-coded: [Yield_resilience.Atomic_io] is the
@@ -128,8 +109,5 @@ let write_file ~path s =
       raise e);
   Sys.rename tmp path
 
-let write_chrome_trace ~path () =
-  write_file ~path (Json.to_string (chrome_trace_of_events (Span.events ())))
-
 let write_metrics_jsonl ~path () =
-  write_file ~path (jsonl_of ~spans:(Span.events ()) (Metrics.snapshot ()))
+  write_file ~path (jsonl_of (Metrics.snapshot ()))

@@ -4,7 +4,6 @@ type event = {
   dur_us : float;
   tid : int;
   depth : int;
-  key : int;
 }
 
 type phase = Opened | Closed
@@ -13,84 +12,15 @@ type phase = Opened | Closed
    them small enough to survive float printing exactly *)
 let epoch_us = Clock.now_us ()
 
-(* per-domain nesting state only; events themselves go to the global ring *)
+(* per-domain nesting state only; events themselves go to the listeners *)
 type local = { mutable depth : int; tid : int }
 
 let dls_key =
   Domain.DLS.new_key (fun () -> { depth = 0; tid = (Domain.self () :> int) })
 
-(* ---------- the bounded ring (what the text summary and exit-time sinks
-   read): a constant-size window over the most recent kept events, so
-   in-process telemetry memory is O(1) in run length ---------- *)
-
-let registry_lock = Mutex.create ()
-
-let default_ring_capacity = 4096
-
-type ring = {
-  store : event array;
-  mutable head : int;  (** next write position *)
-  mutable size : int;
-  mutable dropped : int;  (** events overwritten since the last [clear] *)
-}
-
-let make_ring capacity =
-  if capacity <= 0 then invalid_arg "Span.set_ring_capacity: capacity <= 0";
-  {
-    store =
-      Array.make capacity
-        { name = ""; ts_us = 0.; dur_us = 0.; tid = 0; depth = 0; key = 0 };
-    head = 0;
-    size = 0;
-    dropped = 0;
-  }
-
-let ring = ref (make_ring default_ring_capacity)
-
-let set_ring_capacity capacity =
-  let fresh = make_ring capacity in
-  Mutex.lock registry_lock;
-  ring := fresh;
-  Mutex.unlock registry_lock
-
-let ring_capacity () = Array.length !ring.store
-
-let push e =
-  Mutex.lock registry_lock;
-  let r = !ring in
-  let cap = Array.length r.store in
-  r.store.(r.head) <- e;
-  r.head <- (r.head + 1) mod cap;
-  if r.size < cap then r.size <- r.size + 1 else r.dropped <- r.dropped + 1;
-  Mutex.unlock registry_lock
-
-let events () =
-  Mutex.lock registry_lock;
-  let r = !ring in
-  let cap = Array.length r.store in
-  let out =
-    List.init r.size (fun i -> r.store.((r.head - r.size + i + (2 * cap)) mod cap))
-  in
-  Mutex.unlock registry_lock;
-  List.sort (fun a b -> Float.compare a.ts_us b.ts_us) out
-
-let dropped () =
-  Mutex.lock registry_lock;
-  let d = !ring.dropped in
-  Mutex.unlock registry_lock;
-  d
-
-let clear () =
-  Mutex.lock registry_lock;
-  let r = !ring in
-  r.head <- 0;
-  r.size <- 0;
-  r.dropped <- 0;
-  Mutex.unlock registry_lock
-
-(* ---------- the live event bus: registered sinks see every kept span as
-   it opens and closes, so telemetry can stream to disk instead of
-   accumulating in memory ---------- *)
+(* ---------- the live event bus: registered sinks see every span as it
+   opens and closes, so telemetry streams to disk instead of accumulating
+   in memory ---------- *)
 
 type listener = { id : int; f : phase -> event -> unit }
 
@@ -118,59 +48,19 @@ let unsubscribe id =
 let emit phase e =
   List.iter (fun l -> l.f phase e) (Atomic.get listeners)
 
-(* deterministic per-name ordinals for span keys: the instrumentation site
-   asks for the next ordinal *before* fanning work out, so the key — and
-   with it the sampling decision — is independent of the jobs count *)
-let seq_lock = Mutex.create ()
-
-let seqs : (string, int ref) Hashtbl.t = Hashtbl.create 8
-
-let next_key name =
-  Mutex.lock seq_lock;
-  let r =
-    match Hashtbl.find_opt seqs name with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.add seqs name r;
-        r
-  in
-  let k = !r in
-  incr r;
-  Mutex.unlock seq_lock;
-  k
-
-let reset_keys () =
-  Mutex.lock seq_lock;
-  Hashtbl.reset seqs;
-  Mutex.unlock seq_lock
-
-let c_sampled_out = lazy (Metrics.counter "span.sampled_out")
-
-let timed ~name ?(key = 0) f =
+let timed ~name f =
   let b = Domain.DLS.get dls_key in
   let depth = b.depth in
   b.depth <- depth + 1;
-  let kept = Sampler.keep ~name ~key in
   let t0 = Clock.now_us () in
-  if kept then
-    emit Opened
-      { name; ts_us = t0 -. epoch_us; dur_us = 0.; tid = b.tid; depth; key };
+  emit Opened { name; ts_us = t0 -. epoch_us; dur_us = 0.; tid = b.tid; depth };
   let finish () =
     let t1 = Clock.now_us () in
     b.depth <- depth;
     let dur_s = (t1 -. t0) /. 1e6 in
-    (* metrics see every span — sampling thins the event stream, never the
-       statistics *)
     Metrics.observe (Metrics.histogram ("span." ^ name)) dur_s;
-    if kept then begin
-      let e =
-        { name; ts_us = t0 -. epoch_us; dur_us = t1 -. t0; tid = b.tid; depth; key }
-      in
-      push e;
-      emit Closed e
-    end
-    else Metrics.incr (Lazy.force c_sampled_out);
+    emit Closed
+      { name; ts_us = t0 -. epoch_us; dur_us = t1 -. t0; tid = b.tid; depth };
     dur_s
   in
   match f () with
@@ -179,4 +69,4 @@ let timed ~name ?(key = 0) f =
       ignore (finish ());
       raise exn
 
-let with_ ~name ?key f = fst (timed ~name ?key f)
+let with_ ~name f = fst (timed ~name f)

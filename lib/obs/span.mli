@@ -1,23 +1,17 @@
 (** Hierarchical timed spans, streamed over a live event bus.
 
-    A span's close feeds three consumers:
+    A span's close feeds two consumers:
 
-    - the ["span.<name>"] histogram of {!Metrics} (always, even for
-      sampled-out spans), so per-stage statistics are complete;
-    - the global bounded ring — a constant-size window over the most
-      recent events that backs the text summary and the exit-time sinks,
-      keeping in-process telemetry memory O(1) in run length;
-    - every {!subscribe}d live listener (the streaming sinks), which also
-      sees an [Opened] event when the span begins.
+    - the ["span.<name>"] histogram of {!Metrics}, so per-stage statistics
+      are complete;
+    - every {!subscribe}d live listener (the streaming trace sink, the
+      verbose printer), which also sees an [Opened] event when the span
+      begins.
 
     Nesting is tracked per domain ([Domain.DLS]) and carried on the event;
-    events from worker domains go to the same ring and bus, so nothing is
-    lost when a domain is joined.
-
-    High-frequency spans carry a deterministic [key] (batch ordinal,
-    generation number, worker slot) assigned before any fan-out;
-    {!Sampler} decides keep/drop from the pure [(name, key)] hash, so the
-    kept span set is identical at any [--jobs] count. *)
+    events from worker domains go to the same bus, so nothing is lost when
+    a domain is joined.  Nothing is retained in memory: a span no listener
+    saw exists only in its histogram. *)
 
 type event = {
   name : string;
@@ -25,47 +19,20 @@ type event = {
   dur_us : float;  (** 0 on [Opened] bus events *)
   tid : int;  (** recording domain's id *)
   depth : int;  (** nesting depth within that domain *)
-  key : int;  (** sampling identity; 0 for unkeyed spans *)
 }
 
 type phase = Opened | Closed
 
-val with_ : name:string -> ?key:int -> (unit -> 'a) -> 'a
+val with_ : name:string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a span.  The event is recorded even when the thunk
     raises. *)
 
-val timed : name:string -> ?key:int -> (unit -> 'a) -> 'a * float
+val timed : name:string -> (unit -> 'a) -> 'a * float
 (** Like {!with_} but also returns the measured duration in seconds. *)
 
-val next_key : string -> int
-(** The next per-name ordinal (0, 1, 2, ...), for instrumentation sites
-    whose span has no natural index.  Call it in the coordinator before
-    fanning out, so the key is interleaving-independent.  {!reset_keys}
-    restarts every sequence. *)
-
-val reset_keys : unit -> unit
-
-val events : unit -> event list
-(** The ring contents — the most recent kept events (up to
-    {!ring_capacity}), across every domain, sorted by start time. *)
-
-val dropped : unit -> int
-(** Events overwritten in the ring since the last {!clear}.  The streaming
-    sinks still saw them; only the in-memory window forgot them. *)
-
-val clear : unit -> unit
-(** Empty the ring and zero {!dropped} (the ["span.*"] histograms are
-    untouched; listeners stay subscribed). *)
-
-val set_ring_capacity : int -> unit
-(** Replace the ring with an empty one of the given capacity (default
-    4096).  @raise Invalid_argument when [capacity <= 0]. *)
-
-val ring_capacity : unit -> int
-
 val subscribe : (phase -> event -> unit) -> int
-(** Register a live sink called on every kept span open and close, from
-    the recording domain.  Returns an id for {!unsubscribe}.  Listeners
-    must be fast and must not raise. *)
+(** Register a live sink called on every span open and close, from the
+    recording domain.  Returns an id for {!unsubscribe}.  Listeners must be
+    fast and must not raise. *)
 
 val unsubscribe : int -> unit

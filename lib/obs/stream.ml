@@ -1,12 +1,12 @@
 type format = Jsonl | Chrome
 
 type t = {
-  path : string;
   format : format;
   oc : out_channel;
   lock : Mutex.t;
   mutable chrome_events : int;  (** separators written so far *)
   mutable closed : bool;
+  mutable error : string option;  (** the write error that closed it *)
 }
 
 let format_of_path path =
@@ -14,43 +14,53 @@ let format_of_path path =
   else if Filename.check_suffix path ".json" then Chrome
   else Jsonl
 
+(* callers hold [t.lock]; the first write error closes the stream, so a
+   full disk costs the trace, never the run *)
+let guarded t write =
+  if not t.closed then
+    try
+      write ();
+      flush t.oc
+    with Sys_error msg ->
+      t.closed <- true;
+      t.error <- Some msg;
+      close_out_noerr t.oc
+
 let create ?format ~path () =
   let format =
     match format with Some f -> f | None -> format_of_path path
   in
-  let oc = open_out path in
   let t =
-    { path; format; oc; lock = Mutex.create (); chrome_events = 0; closed = false }
+    {
+      format;
+      oc = open_out path;
+      lock = Mutex.create ();
+      chrome_events = 0;
+      closed = false;
+      error = None;
+    }
   in
   (* the Chrome trace_event array format tolerates a missing closing
      bracket, so an incrementally grown file is loadable even after a
      crash *)
-  if format = Chrome then begin
-    output_string oc "[\n";
-    flush oc
-  end;
+  if format = Chrome then guarded t (fun () -> output_string t.oc "[\n");
   t
-
-let path t = t.path
 
 let format t = t.format
 
 (* one event = one line = one buffered write + flush, so a crash can lose
    at most a partial final line — which [read_jsonl] tolerates on re-read *)
 let write_json t j =
-  Mutex.lock t.lock;
-  if not t.closed then begin
-    (match t.format with
-    | Jsonl ->
-        output_string t.oc (Json.to_string j);
-        output_char t.oc '\n'
-    | Chrome ->
-        if t.chrome_events > 0 then output_string t.oc ",\n";
-        t.chrome_events <- t.chrome_events + 1;
-        output_string t.oc (Json.to_string j));
-    flush t.oc
-  end;
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      guarded t (fun () ->
+          match t.format with
+          | Jsonl ->
+              output_string t.oc (Json.to_string j);
+              output_char t.oc '\n'
+          | Chrome ->
+              if t.chrome_events > 0 then output_string t.oc ",\n";
+              t.chrome_events <- t.chrome_events + 1;
+              output_string t.oc (Json.to_string j)))
 
 let write_event t phase (e : Span.event) =
   match (t.format, phase) with
@@ -65,14 +75,14 @@ let write_event t phase (e : Span.event) =
   | Chrome, Span.Opened -> () (* complete ("X") events are close-time only *)
 
 let close t =
-  Mutex.lock t.lock;
-  if not t.closed then begin
-    t.closed <- true;
-    if t.format = Chrome then output_string t.oc "\n]\n";
-    (try flush t.oc with Sys_error _ -> ());
-    try close_out t.oc with Sys_error _ -> ()
-  end;
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      if t.format = Chrome then guarded t (fun () -> output_string t.oc "\n]\n");
+      (* every write was flushed by [guarded]: nothing is left to lose *)
+      if not t.closed then begin
+        t.closed <- true;
+        close_out_noerr t.oc
+      end;
+      match t.error with None -> Ok () | Some msg -> Error msg)
 
 (* ---------- re-reading ---------- *)
 

@@ -4,9 +4,9 @@
 
     Two formats:
     - [Jsonl] — one JSON object per line, the same line shapes as
-      {!Sink.jsonl_of} ([{"type":"span",...}]) plus ["span.open"] lines
-      (when the caller forwards [Opened] phases) and ["snapshot"] lines
-      from {!Metric_deltas}.
+      {!Sink.jsonl_of} plus [{"type":"span",...}] lines ({!Sink.span_json}),
+      ["span.open"] lines (when the caller forwards [Opened] phases) and
+      ["snapshot"] lines from {!Metric_deltas}.
     - [Chrome] — an incrementally grown [trace_event] array.  The opening
       [\[] is written eagerly and the closing bracket only on {!close};
       Chrome and Perfetto load the unterminated array a crash leaves
@@ -16,7 +16,11 @@
     so a kill loses at most a partial final line.  {!read_jsonl} tolerates
     exactly that — an unterminated, unparseable tail is dropped and
     reported, while a corrupt line in the middle of the file still raises
-    (that is damage, not crash debris). *)
+    (that is damage, not crash debris).
+
+    A write error never escapes into the caller (span listeners must not
+    raise): the first [Sys_error] closes the stream, later writes are
+    no-ops, and {!close} reports the error. *)
 
 type format = Jsonl | Chrome
 
@@ -25,22 +29,21 @@ type t
 val create : ?format:format -> path:string -> unit -> t
 (** Truncate-and-open [path] for streaming.  [format] defaults by suffix:
     [.jsonl] streams JSONL, any other [.json] a Chrome trace, everything
-    else JSONL.  @raise Sys_error when the path is unwritable. *)
-
-val path : t -> string
+    else JSONL.  @raise Sys_error when the path cannot be opened. *)
 
 val format : t -> format
 
 val write_json : t -> Json.t -> unit
 (** Append one line (JSONL) or one array element (Chrome).  Thread-safe;
-    a no-op after {!close}. *)
+    a no-op after {!close} or a write error. *)
 
 val write_event : t -> Span.phase -> Span.event -> unit
 (** Append a span event in the stream's format.  Chrome streams ignore
     [Opened] phases (complete events carry the duration at close). *)
 
-val close : t -> unit
-(** Flush, terminate the Chrome array, and close the fd.  Idempotent. *)
+val close : t -> (unit, string) result
+(** Flush, terminate the Chrome array, and close the fd.  Idempotent.
+    [Error] carries the first write error, if any write failed. *)
 
 type reread = {
   lines : Json.t list;

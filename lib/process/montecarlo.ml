@@ -22,9 +22,7 @@ let record ~attempted ~failed =
   Metrics.add c_failed failed
 
 let run_counted ~samples ~rng f =
-  (* batch ordinal as span key, taken by the (always sequential) caller
-     before any work runs — the sampling identity is jobs-independent *)
-  Span.with_ ~name:"mc.batch" ~key:(Span.next_key "mc.batch") (fun () ->
+  Span.with_ ~name:"mc.batch" (fun () ->
       let base = Fault.advance fp_sample ~by:samples in
       let results = ref [] in
       let failed = ref 0 in
@@ -48,8 +46,7 @@ let run ~samples ~rng f = (run_counted ~samples ~rng f).results
 let run_pool_counted ~pool ~samples ~rng f =
   if Pool.jobs pool <= 1 || samples <= 1 then run_counted ~samples ~rng f
   else
-    (* same key sequence as the serial path: one ordinal per batch *)
-    Span.with_ ~name:"mc.batch" ~key:(Span.next_key "mc.batch") (fun () ->
+    Span.with_ ~name:"mc.batch" (fun () ->
         (* split all child streams sequentially first, so the sample streams
            are identical to the serial path *)
         let children = Array.init samples (fun _ -> Rng.split rng) in

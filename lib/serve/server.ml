@@ -241,8 +241,8 @@ let dispatch st =
       let arr = Array.of_list jobs in
       let n = Array.length arr in
       let frames =
-        Span.with_ ~name:"serve.batch" ~key:(Span.next_key "serve.batch")
-          (fun () -> Pool.map st.pool ~n (fun i -> handle_job st arr.(i)))
+        Span.with_ ~name:"serve.batch" (fun () ->
+            Pool.map st.pool ~n (fun i -> handle_job st arr.(i)))
       in
       Array.iteri (fun i frame -> send st arr.(i).conn frame) frames
 

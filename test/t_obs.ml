@@ -1,15 +1,16 @@
 (* Tests for the yield_obs telemetry library: span nesting and per-domain
-   merging, histogram quantiles, counter atomicity across domains, JSON /
-   JSONL / Chrome-trace serialisation round-trips — plus the determinism
+   merging on the event bus, histogram quantiles, counter atomicity across
+   domains, JSON / JSONL / Chrome-trace serialisation round-trips, the
+   streaming sink and its write-error contract — plus the determinism
    contract of the instrumented Monte Carlo driver. *)
 
 module Json = Yield_obs.Json
 module Histogram = Yield_obs.Histogram
 module Metrics = Yield_obs.Metrics
 module Span = Yield_obs.Span
-module Sampler = Yield_obs.Sampler
 module Sink = Yield_obs.Sink
 module Stream = Yield_obs.Stream
+module Obs = Yield_obs.Obs
 module Montecarlo = Yield_process.Montecarlo
 module Pool = Yield_exec.Pool
 module Rng = Yield_stats.Rng
@@ -20,24 +21,37 @@ let check_float ?(eps = 1e-9) what expected actual =
 
 (* ---------- spans ---------- *)
 
-let events_named name =
-  List.filter (fun (e : Span.event) -> e.Span.name = name) (Span.events ())
+(* run [f] with a bus listener collecting every closed span, from any
+   domain, in close order *)
+let closed_spans f =
+  let lock = Mutex.create () in
+  let seen = ref [] in
+  let id =
+    Span.subscribe (fun phase e ->
+        if phase = Span.Closed then
+          Mutex.protect lock (fun () -> seen := e :: !seen))
+  in
+  let v = Fun.protect ~finally:(fun () -> Span.unsubscribe id) f in
+  (v, List.rev !seen)
+
+let named name =
+  List.filter (fun (e : Span.event) -> e.Span.name = name)
 
 let test_span_nesting () =
-  Span.clear ();
-  let v =
-    Span.with_ ~name:"t.outer" (fun () ->
-        let a = Span.with_ ~name:"t.inner" (fun () -> 20) in
-        let b = Span.with_ ~name:"t.inner" (fun () -> 22) in
-        a + b)
+  let v, spans =
+    closed_spans (fun () ->
+        Span.with_ ~name:"t.outer" (fun () ->
+            let a = Span.with_ ~name:"t.inner" (fun () -> 20) in
+            let b = Span.with_ ~name:"t.inner" (fun () -> 22) in
+            a + b))
   in
   Alcotest.(check int) "value through spans" 42 v;
   let outer =
-    match events_named "t.outer" with
+    match named "t.outer" spans with
     | [ e ] -> e
     | es -> Alcotest.failf "expected 1 outer event, got %d" (List.length es)
   in
-  let inners = events_named "t.inner" in
+  let inners = named "t.inner" spans in
   Alcotest.(check int) "two inner events" 2 (List.length inners);
   Alcotest.(check int) "outer at depth 0" 0 outer.Span.depth;
   List.iter
@@ -52,27 +66,49 @@ let test_span_nesting () =
     inners
 
 let test_span_survives_exception () =
-  Span.clear ();
-  (try
-     Span.with_ ~name:"t.raises" (fun () -> failwith "boom")
-   with Failure _ -> ());
+  let (), spans =
+    closed_spans (fun () ->
+        try Span.with_ ~name:"t.raises" (fun () -> failwith "boom")
+        with Failure _ -> ())
+  in
   Alcotest.(check int) "event recorded despite raise" 1
-    (List.length (events_named "t.raises"))
+    (List.length (named "t.raises" spans))
 
 let test_span_merges_domains () =
-  Span.clear ();
-  let domains =
-    Array.init 3 (fun i ->
-        Domain.spawn (fun () ->
-            Span.with_ ~name:"t.domain" (fun () -> ignore (Sys.opaque_identity i))))
+  let (), spans =
+    closed_spans (fun () ->
+        let domains =
+          Array.init 3 (fun i ->
+              Domain.spawn (fun () ->
+                  Span.with_ ~name:"t.domain" (fun () ->
+                      ignore (Sys.opaque_identity i))))
+        in
+        Array.iter Domain.join domains;
+        Span.with_ ~name:"t.domain" (fun () -> ()))
   in
-  Array.iter Domain.join domains;
-  Span.with_ ~name:"t.domain" (fun () -> ());
-  let es = events_named "t.domain" in
+  let es = named "t.domain" spans in
   Alcotest.(check int) "events from every domain survive the join" 4
     (List.length es);
   let tids = List.sort_uniq compare (List.map (fun e -> e.Span.tid) es) in
   Alcotest.(check int) "distinct domain ids" 4 (List.length tids)
+
+let test_bus_sees_open_and_close () =
+  let seen = ref [] in
+  let id =
+    Span.subscribe (fun phase (e : Span.event) ->
+        if e.Span.name = "t.bus" then seen := (phase, e.Span.dur_us) :: !seen)
+  in
+  Fun.protect
+    ~finally:(fun () -> Span.unsubscribe id)
+    (fun () ->
+      Span.with_ ~name:"t.bus" (fun () -> ());
+      match List.rev !seen with
+      | [ (Span.Opened, d0); (Span.Closed, d1) ] ->
+          check_float "open event has no duration yet" 0. d0;
+          Alcotest.(check bool) "close event has the duration" true (d1 >= 0.)
+      | other -> Alcotest.failf "expected open+close, saw %d" (List.length other));
+  Span.with_ ~name:"t.bus" (fun () -> ());
+  Alcotest.(check int) "unsubscribed listener is silent" 2 (List.length !seen)
 
 (* ---------- histograms ---------- *)
 
@@ -192,11 +228,11 @@ let test_json_roundtrip () =
 let test_chrome_trace_roundtrip () =
   let events =
     [
-      { Span.name = "alpha"; ts_us = 10.5; dur_us = 1000.25; tid = 0; depth = 0; key = 0 };
-      { Span.name = "beta"; ts_us = 20.; dur_us = 4.; tid = 3; depth = 1; key = 2 };
+      { Span.name = "alpha"; ts_us = 10.5; dur_us = 1000.25; tid = 0; depth = 0 };
+      { Span.name = "beta"; ts_us = 20.; dur_us = 4.; tid = 3; depth = 1 };
     ]
   in
-  let text = Json.to_string (Sink.chrome_trace_of_events events) in
+  let text = Json.to_string (Json.List (List.map Sink.chrome_event events)) in
   match Json.parse text with
   | Json.List items ->
       Alcotest.(check int) "one trace event per span" 2 (List.length items);
@@ -223,23 +259,11 @@ let test_jsonl_roundtrip () =
     Metrics.observe h (float_of_int i)
   done;
   Metrics.add (Metrics.counter "t.jsonl.counter") 7;
-  let spans =
-    [
-      {
-        Span.name = "t.jsonl.span";
-        ts_us = 1.;
-        dur_us = 2.;
-        tid = 0;
-        depth = 0;
-        key = 0;
-      };
-    ]
-  in
-  let text = Sink.jsonl_of ~spans (Metrics.snapshot ()) in
+  let text = Sink.jsonl_of (Metrics.snapshot ()) in
   let lines =
     String.split_on_char '\n' text |> List.filter (fun l -> l <> "")
   in
-  Alcotest.(check bool) "several lines" true (List.length lines >= 3);
+  Alcotest.(check bool) "several lines" true (List.length lines >= 2);
   let parsed = List.map Json.parse lines in
   let of_type ty name =
     List.find_opt
@@ -253,141 +277,14 @@ let test_jsonl_roundtrip () =
       Alcotest.(check bool) "counter value present" true
         (match Json.member "value" j with Some (Json.Int v) -> v >= 7 | _ -> false)
   | None -> Alcotest.fail "counter line missing");
-  (match of_type "histogram" "t.jsonl.hist" with
+  match of_type "histogram" "t.jsonl.hist" with
   | Some j ->
       List.iter
         (fun field ->
           Alcotest.(check bool) (field ^ " present") true
             (Option.is_some (Json.member field j)))
         [ "count"; "sum"; "mean"; "min"; "max"; "p50"; "p90"; "p95"; "p99" ]
-  | None -> Alcotest.fail "histogram line missing");
-  match of_type "span" "t.jsonl.span" with
-  | Some _ -> ()
-  | None -> Alcotest.fail "span line missing"
-
-(* ---------- span ring, bus and keys ---------- *)
-
-let test_ring_bounds_memory () =
-  Span.clear ();
-  let saved = Span.ring_capacity () in
-  Span.set_ring_capacity 8;
-  Fun.protect
-    ~finally:(fun () -> Span.set_ring_capacity saved)
-    (fun () ->
-      for _ = 1 to 100 do
-        Span.with_ ~name:"t.ring" (fun () -> ())
-      done;
-      Alcotest.(check int) "window holds exactly the capacity" 8
-        (List.length (Span.events ()));
-      Alcotest.(check int) "the rest were rotated out" 92 (Span.dropped ());
-      (* the window is the most recent events, in start order *)
-      let es = events_named "t.ring" in
-      Alcotest.(check bool) "window sorted by start" true
-        (List.sort
-           (fun (a : Span.event) b -> Float.compare a.Span.ts_us b.Span.ts_us)
-           es
-        = es);
-      Span.clear ();
-      Alcotest.(check int) "clear resets the drop count" 0 (Span.dropped ()))
-
-let test_bus_sees_open_and_close () =
-  Span.clear ();
-  let seen = ref [] in
-  let id =
-    Span.subscribe (fun phase (e : Span.event) ->
-        if e.Span.name = "t.bus" then seen := (phase, e.Span.dur_us) :: !seen)
-  in
-  Fun.protect
-    ~finally:(fun () -> Span.unsubscribe id)
-    (fun () ->
-      Span.with_ ~name:"t.bus" (fun () -> ());
-      match List.rev !seen with
-      | [ (Span.Opened, d0); (Span.Closed, d1) ] ->
-          check_float "open event has no duration yet" 0. d0;
-          Alcotest.(check bool) "close event has the duration" true (d1 >= 0.)
-      | other -> Alcotest.failf "expected open+close, saw %d" (List.length other));
-  Span.with_ ~name:"t.bus" (fun () -> ());
-  Alcotest.(check int) "unsubscribed listener is silent" 2 (List.length !seen)
-
-let test_span_key_sequences () =
-  Span.reset_keys ();
-  let k0 = Span.next_key "t.seq.a" in
-  let k1 = Span.next_key "t.seq.a" in
-  let k2 = Span.next_key "t.seq.b" in
-  let k3 = Span.next_key "t.seq.a" in
-  Alcotest.(check (list int)) "per-name ordinals" [ 0; 1; 0; 2 ] [ k0; k1; k2; k3 ];
-  Span.reset_keys ();
-  Alcotest.(check int) "reset restarts the sequence" 0 (Span.next_key "t.seq.a")
-
-(* ---------- deterministic sampling ---------- *)
-
-let with_sampler spec f =
-  (match Sampler.configure spec with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "spec %S rejected: %s" spec e);
-  Fun.protect ~finally:Sampler.clear f
-
-let test_sampler_spec_parsing () =
-  Alcotest.(check bool) "good spec" true
-    (Result.is_ok (Sampler.parse "mc.batch=0.1;exec.*=0,ga.generation=1"));
-  List.iter
-    (fun bad ->
-      Alcotest.(check bool)
-        (Printf.sprintf "bad spec %S rejected" bad)
-        true
-        (Result.is_error (Sampler.parse bad)))
-    [ "mc.batch"; "mc.batch=2"; "mc.batch=-0.5"; "=0.5"; "mc.batch=x" ]
-
-let test_sampler_rates_and_precedence () =
-  with_sampler "t.samp.always=1;t.samp.never=0;t.samp.*=0.5" (fun () ->
-      for key = 0 to 99 do
-        Alcotest.(check bool) "rate 1 keeps everything" true
-          (Sampler.keep ~name:"t.samp.always" ~key);
-        Alcotest.(check bool) "rate 0 drops everything" false
-          (Sampler.keep ~name:"t.samp.never" ~key)
-      done;
-      (* unmatched names are never sampled *)
-      Alcotest.(check bool) "no rule means keep" true
-        (Sampler.keep ~name:"t.other" ~key:0);
-      (* the prefix rule catches the rest at roughly its rate *)
-      let kept = ref 0 in
-      for key = 0 to 999 do
-        if Sampler.keep ~name:"t.samp.half" ~key then incr kept
-      done;
-      Alcotest.(check bool)
-        (Printf.sprintf "rate 0.5 kept %d of 1000" !kept)
-        true
-        (!kept > 400 && !kept < 600))
-
-let test_sampler_is_a_pure_function () =
-  (* the whole determinism story rests on this: the decision depends on
-     (name, key) alone — recomputing it anywhere, in any order, on any
-     domain, gives the same answer *)
-  with_sampler "t.pure.*=0.3" (fun () ->
-      let forward = List.init 200 (fun k -> Sampler.keep ~name:"t.pure.x" ~key:k) in
-      let backward =
-        List.rev (List.init 200 (fun k -> Sampler.keep ~name:"t.pure.x" ~key:(199 - k)))
-      in
-      Alcotest.(check (list bool)) "order-independent" forward backward;
-      let from_domain =
-        Domain.join
-          (Domain.spawn (fun () ->
-               List.init 200 (fun k -> Sampler.keep ~name:"t.pure.x" ~key:k)))
-      in
-      Alcotest.(check (list bool)) "domain-independent" forward from_domain)
-
-let test_sampled_out_spans_still_feed_metrics () =
-  Span.clear ();
-  with_sampler "t.thin=0" (fun () ->
-      let h = Metrics.histogram "span.t.thin" in
-      let n0 = Histogram.count h in
-      for _ = 1 to 5 do
-        Span.with_ ~name:"t.thin" (fun () -> ())
-      done;
-      Alcotest.(check int) "no events in the ring" 0
-        (List.length (events_named "t.thin"));
-      Alcotest.(check int) "but every span observed in the histogram" 5
-        (Histogram.count h - n0))
+  | None -> Alcotest.fail "histogram line missing"
 
 (* ---------- streaming sink ---------- *)
 
@@ -409,8 +306,7 @@ let test_stream_jsonl_roundtrip () =
               ts_us = float_of_int (10 * i);
               dur_us = 3.5;
               tid = 0;
-              depth = 0;
-              key = i;
+              depth = i;
             })
       in
       List.iter
@@ -418,8 +314,8 @@ let test_stream_jsonl_roundtrip () =
           Stream.write_event s Span.Opened e;
           Stream.write_event s Span.Closed e)
         events;
-      Stream.close s;
-      Stream.close s (* idempotent *);
+      Alcotest.(check bool) "clean close" true (Stream.close s = Ok ());
+      Alcotest.(check bool) "close is idempotent" true (Stream.close s = Ok ());
       let r = Stream.read_jsonl ~path in
       Alcotest.(check bool) "no truncation" false r.Stream.truncated;
       Alcotest.(check int) "open + close lines" 10 (List.length r.Stream.lines);
@@ -428,7 +324,7 @@ let test_stream_jsonl_roundtrip () =
       List.iter2
         (fun (a : Span.event) (b : Span.event) ->
           Alcotest.(check string) "name" a.Span.name b.Span.name;
-          Alcotest.(check int) "key" a.Span.key b.Span.key;
+          Alcotest.(check int) "depth" a.Span.depth b.Span.depth;
           check_float "ts" a.Span.ts_us b.Span.ts_us)
         events back)
 
@@ -440,7 +336,7 @@ let test_stream_tolerates_truncated_tail () =
       let s = Stream.create ~path () in
       Stream.write_json s (Json.Obj [ ("type", Json.String "counter") ]);
       Stream.write_json s (Json.Obj [ ("type", Json.String "counter") ]);
-      Stream.close s;
+      ignore (Stream.close s);
       (* simulate a crash mid-write: chop the file inside the final line *)
       let text = In_channel.with_open_bin path In_channel.input_all in
       let chopped = String.sub text 0 (String.length text - 4) in
@@ -459,7 +355,7 @@ let test_stream_chrome_crash_loadable () =
       Alcotest.(check bool) "chrome by extension" true
         (Stream.format s = Stream.Chrome);
       let e =
-        { Span.name = "t.ct"; ts_us = 1.; dur_us = 2.; tid = 0; depth = 0; key = 0 }
+        { Span.name = "t.ct"; ts_us = 1.; dur_us = 2.; tid = 0; depth = 0 }
       in
       Stream.write_event s Span.Closed e;
       Stream.write_event s Span.Closed e;
@@ -470,11 +366,38 @@ let test_stream_chrome_crash_loadable () =
       | Json.List items ->
           Alcotest.(check int) "both events present" 2 (List.length items)
       | _ -> Alcotest.fail "not an array");
-      Stream.close s;
+      ignore (Stream.close s);
       match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
       | Json.List items ->
           Alcotest.(check int) "closed file parses as-is" 2 (List.length items)
       | _ -> Alcotest.fail "closed file is not an array")
+
+(* a write error (ENOSPC from /dev/full) must not escape into the
+   instrumented code: spans keep closing, and stopping reports the error *)
+let test_stream_write_error () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  Alcotest.(check bool) "no stream armed yet" false (Obs.stream_active ());
+  Obs.start_stream ~path:"/dev/full" ();
+  let raised =
+    match
+      for _ = 1 to 3 do
+        Span.with_ ~name:"t.full" (fun () -> ())
+      done
+    with
+    | () -> None
+    | exception e -> Some e
+  in
+  let stopped = Obs.stop_stream () in
+  Option.iter
+    (fun e -> Alcotest.failf "span close raised %s" (Printexc.to_string e))
+    raised;
+  Alcotest.(check bool) "stop reports the error" true (Result.is_error stopped);
+  Alcotest.(check bool) "and reports it once" true (Obs.stop_stream () = Ok ());
+  (* the Chrome framing is written at create time; its error is kept too *)
+  let s = Stream.create ~format:Stream.Chrome ~path:"/dev/full" () in
+  Stream.write_json s (Json.Int 1);
+  Alcotest.(check bool) "chrome close reports the error" true
+    (Result.is_error (Stream.close s))
 
 (* ---------- instrumented Monte Carlo ---------- *)
 
@@ -521,6 +444,7 @@ let suites =
         Alcotest.test_case "nesting" `Quick test_span_nesting;
         Alcotest.test_case "exception safety" `Quick test_span_survives_exception;
         Alcotest.test_case "domain merge" `Quick test_span_merges_domains;
+        Alcotest.test_case "bus open/close" `Quick test_bus_sees_open_and_close;
       ] );
     ( "obs.histogram",
       [
@@ -539,21 +463,6 @@ let suites =
         Alcotest.test_case "chrome trace" `Quick test_chrome_trace_roundtrip;
         Alcotest.test_case "jsonl" `Quick test_jsonl_roundtrip;
       ] );
-    ( "obs.ring",
-      [
-        Alcotest.test_case "bounded memory" `Quick test_ring_bounds_memory;
-        Alcotest.test_case "bus open/close" `Quick test_bus_sees_open_and_close;
-        Alcotest.test_case "key sequences" `Quick test_span_key_sequences;
-      ] );
-    ( "obs.sampler",
-      [
-        Alcotest.test_case "spec parsing" `Quick test_sampler_spec_parsing;
-        Alcotest.test_case "rates and precedence" `Quick
-          test_sampler_rates_and_precedence;
-        Alcotest.test_case "pure function" `Quick test_sampler_is_a_pure_function;
-        Alcotest.test_case "metrics stay complete" `Quick
-          test_sampled_out_spans_still_feed_metrics;
-      ] );
     ( "obs.stream",
       [
         Alcotest.test_case "jsonl roundtrip" `Quick test_stream_jsonl_roundtrip;
@@ -561,6 +470,7 @@ let suites =
           test_stream_tolerates_truncated_tail;
         Alcotest.test_case "chrome crash-loadable" `Quick
           test_stream_chrome_crash_loadable;
+        Alcotest.test_case "write error" `Quick test_stream_write_error;
       ] );
     ( "obs.montecarlo",
       [

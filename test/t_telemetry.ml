@@ -1,12 +1,12 @@
 (* End-to-end tests of the streaming telemetry path and the perf-regression
-   gate: a reduced-scale flow streamed to disk with a deliberately tiny span
-   ring (bounded memory, complete on-disk log), jobs-independence of the
-   sampling decisions, and the Perf_gate tolerance/identity rules. *)
+   gate: a reduced-scale flow streamed to disk (the trace holds every span
+   the run closed), periodic snapshot deltas, and the Perf_gate
+   tolerance/identity rules. *)
 
 module Json = Yield_obs.Json
+module Histogram = Yield_obs.Histogram
 module Metrics = Yield_obs.Metrics
 module Span = Yield_obs.Span
-module Sampler = Yield_obs.Sampler
 module Stream = Yield_obs.Stream
 module Metric_deltas = Yield_obs.Metric_deltas
 module Obs = Yield_obs.Obs
@@ -14,9 +14,6 @@ module Config = Yield_core.Config
 module Flow = Yield_core.Flow
 module Perf_gate = Yield_core.Perf_gate
 module Ga = Yield_ga.Ga
-module Montecarlo = Yield_process.Montecarlo
-module Pool = Yield_exec.Pool
-module Rng = Yield_stats.Rng
 
 let temp_path suffix = Filename.temp_file "yieldlab_t_telemetry" suffix
 
@@ -37,150 +34,64 @@ let smoke_config =
     seed = 31;
   }
 
-let span_id (e : Span.event) = (e.Span.name, e.Span.key, e.Span.ts_us)
+(* total observations over the span.* histograms: one per closed span *)
+let span_count () =
+  List.fold_left
+    (fun acc (name, (h : Histogram.summary)) ->
+      if String.starts_with ~prefix:"span." name then acc + h.Histogram.count
+      else acc)
+    0 (Metrics.snapshot ()).Metrics.histograms
 
-(* ---------- streamed flow: bounded window, complete log ---------- *)
+(* ---------- streamed flow: the trace holds every span ---------- *)
 
-let test_flow_stream_bounded_and_complete () =
+let test_flow_trace_complete () =
   with_temp ".jsonl" (fun path ->
-      let saved = Span.ring_capacity () in
-      Span.set_ring_capacity 8;
+      let before = span_count () in
+      Obs.start_stream ~snapshot_every_s:0.001 ~path ();
+      Alcotest.(check bool) "stream active" true (Obs.stream_active ());
       Fun.protect
-        ~finally:(fun () ->
-          Obs.stop_stream ();
-          Span.set_ring_capacity saved)
-        (fun () ->
-          Obs.start_stream ~snapshot_every_s:0.001 ~path ();
-          Alcotest.(check bool) "stream active" true (Obs.stream_active ());
-          ignore (Flow.run smoke_config);
-          let window = Span.events () in
-          Alcotest.(check bool)
-            (Printf.sprintf "window bounded: %d <= 8" (List.length window))
-            true
-            (List.length window <= 8);
-          Alcotest.(check bool) "a smoke flow overflows an 8-event ring" true
-            (Span.dropped () > 0);
-          Obs.stop_stream ();
-          Alcotest.(check bool) "stream stopped" false (Obs.stream_active ());
-          let r = Stream.read_jsonl ~path in
-          Alcotest.(check bool) "clean shutdown, no truncation" false
-            r.Stream.truncated;
-          let streamed = Stream.spans_of_lines r.Stream.lines in
-          Alcotest.(check bool) "every rotated-out event is on disk" true
-            (List.length streamed >= List.length window + Span.dropped ());
-          (* the in-memory window is a subset of the stream *)
-          let streamed_ids = List.map span_id streamed in
-          List.iter
-            (fun e ->
-              if not (List.mem (span_id e) streamed_ids) then
-                Alcotest.failf "ring event %s missing from the stream"
-                  e.Span.name)
-            window;
-          (* flow stage spans reached the file *)
-          List.iter
-            (fun stage ->
-              Alcotest.(check bool) (stage ^ " streamed") true
-                (List.exists
-                   (fun (e : Span.event) -> e.Span.name = stage)
-                   streamed))
-            [ "flow.run"; "flow.wbga"; "flow.mc"; "ga.generation"; "mc.batch" ];
-          (* snapshots rode the stream, and the final metric lines match the
-             registry *)
-          let of_type ty =
-            List.filter
-              (fun j -> Json.member "type" j = Some (Json.String ty))
-              r.Stream.lines
-          in
-          Alcotest.(check bool) "snapshot lines present" true
-            (List.length (of_type "snapshot") >= 1);
-          let snap = Metrics.snapshot () in
-          let counter_lines = of_type "counter" in
-          Alcotest.(check int) "one final line per counter"
-            (List.length snap.Metrics.counters)
-            (List.length counter_lines);
-          List.iter
-            (fun (name, v) ->
-              match
-                List.find_opt
-                  (fun j ->
-                    Json.member "name" j = Some (Json.String name))
-                  counter_lines
-              with
-              | None -> Alcotest.failf "counter %s missing from stream" name
-              | Some j ->
-                  Alcotest.(check bool) (name ^ " value") true
-                    (Json.member "value" j = Some (Json.Int v)))
-            snap.Metrics.counters))
-
-(* the exit-time sink and the stream describe the same spans when the ring
-   is large enough to hold them all *)
-let test_stream_matches_exit_sink () =
-  with_temp ".jsonl" (fun path ->
-      Span.clear ();
-      Obs.stop_stream ();
-      Obs.start_stream ~path ();
-      Fun.protect ~finally:Obs.stop_stream (fun () ->
-          for i = 0 to 19 do
-            Span.with_ ~name:"t.match" ~key:i (fun () ->
-                Span.with_ ~name:"t.match.inner" (fun () -> ()))
-          done;
-          Obs.stop_stream ();
-          let streamed =
-            Stream.spans_of_lines (Stream.read_jsonl ~path).Stream.lines
-          in
-          let window = Span.events () in
-          Alcotest.(check int) "same event count" (List.length window)
-            (List.length streamed);
-          let sort l =
-            List.sort compare (List.map span_id l)
-          in
-          Alcotest.(check bool) "same span set" true
-            (sort window = sort streamed)))
-
-(* ---------- sampling is independent of the jobs count ---------- *)
-
-let kept_mc_keys ~jobs =
-  Span.clear ();
-  Span.reset_keys ();
-  let lock = Mutex.create () in
-  let keys = ref [] in
-  let sub =
-    Span.subscribe (fun phase (e : Span.event) ->
-        if phase = Span.Closed && e.Span.name = "mc.batch" then begin
-          Mutex.lock lock;
-          keys := e.Span.key :: !keys;
-          Mutex.unlock lock
-        end)
-  in
-  Fun.protect
-    ~finally:(fun () -> Span.unsubscribe sub)
-    (fun () ->
-      Pool.with_pool ~jobs (fun pool ->
-          for batch = 0 to 29 do
-            ignore
-              (Montecarlo.run_pool_counted ~pool ~samples:8
-                 ~rng:(Rng.create (100 + batch)) (fun r ->
-                   Some (Rng.float r))) [@warning "-5"]
-          done);
-      List.sort compare !keys)
-
-let test_sampling_identical_across_jobs () =
-  (match Sampler.configure "mc.batch=0.4;exec.*=0" with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "spec rejected: %s" e);
-  Fun.protect ~finally:Sampler.clear (fun () ->
-      let serial = kept_mc_keys ~jobs:1 in
-      let parallel = kept_mc_keys ~jobs:4 in
-      Alcotest.(check bool) "sampling thinned the batches" true
-        (List.length serial < 30 && List.length serial > 0);
-      Alcotest.(check (list int)) "identical kept set at jobs 1 and 4" serial
-        parallel;
-      (* exec.worker fully sampled out even at jobs 4 *)
-      Alcotest.(check int) "exec.worker suppressed" 0
-        (List.length
-           (List.filter
-              (fun (e : Span.event) -> e.Span.name = "exec.worker")
-              (Span.events ()))))
+        ~finally:(fun () -> ignore (Obs.stop_stream ()))
+        (fun () -> ignore (Flow.run smoke_config));
+      let closed = span_count () - before in
+      Alcotest.(check bool) "stream stopped" false (Obs.stream_active ());
+      let r = Stream.read_jsonl ~path in
+      Alcotest.(check bool) "clean shutdown, no truncation" false
+        r.Stream.truncated;
+      let streamed = Stream.spans_of_lines r.Stream.lines in
+      Alcotest.(check int) "one span line per closed span" closed
+        (List.length streamed);
+      (* flow stage spans reached the file *)
+      List.iter
+        (fun stage ->
+          Alcotest.(check bool) (stage ^ " streamed") true
+            (List.exists (fun (e : Span.event) -> e.Span.name = stage) streamed))
+        [ "flow.run"; "flow.wbga"; "flow.mc"; "ga.generation"; "mc.batch" ];
+      (* snapshots rode the stream, and the final metric lines match the
+         registry *)
+      let of_type ty =
+        List.filter
+          (fun j -> Json.member "type" j = Some (Json.String ty))
+          r.Stream.lines
+      in
+      Alcotest.(check bool) "snapshot lines present" true
+        (List.length (of_type "snapshot") >= 1);
+      let snap = Metrics.snapshot () in
+      let counter_lines = of_type "counter" in
+      Alcotest.(check int) "one final line per counter"
+        (List.length snap.Metrics.counters)
+        (List.length counter_lines);
+      List.iter
+        (fun (name, v) ->
+          match
+            List.find_opt
+              (fun j -> Json.member "name" j = Some (Json.String name))
+              counter_lines
+          with
+          | None -> Alcotest.failf "counter %s missing from stream" name
+          | Some j ->
+              Alcotest.(check bool) (name ^ " value") true
+                (Json.member "value" j = Some (Json.Int v)))
+        snap.Metrics.counters)
 
 (* ---------- periodic snapshots ---------- *)
 
@@ -214,7 +125,14 @@ let test_snapshot_deltas () =
         Option.is_some (delta_of first));
       Alcotest.(check bool) "second snapshot carries only the increment" true
         (delta_of second = Some (Json.Int 2));
-      Alcotest.(check int) "two emissions counted" 2 (Metric_deltas.emitted snap)
+      Alcotest.(check int) "two emissions counted" 2 (Metric_deltas.emitted snap);
+      (* an interval that never elapses (or is not a number) is refused *)
+      List.iter
+        (fun every_s ->
+          match Metric_deltas.create ~every_s ~emit:ignore with
+          | _ -> Alcotest.failf "every_s = %g accepted" every_s
+          | exception Invalid_argument _ -> ())
+        [ Float.nan; Float.infinity; 0.; -1. ]
   | l -> Alcotest.failf "expected 2 snapshots, got %d" (List.length l)
 
 (* ---------- the perf-regression gate ---------- *)
@@ -303,12 +221,12 @@ let test_gate_catches_count_and_counter_drift () =
         [
           ("mc.samples.attempted", 840);
           ("wbga.evaluations", 288);
-          ("span.sampled_out", 3);
+          ("t.new_counter", 3);
         ]
       ()
   in
   Alcotest.(check bool) "new counter needs a baseline refresh" true
-    (List.mem "counters.span.sampled_out"
+    (List.mem "counters.t.new_counter"
        (fields (Perf_gate.check ~baseline:base ~bench:appeared)))
 
 let test_gate_run_identity () =
@@ -342,56 +260,13 @@ let test_baseline_of_bench_shape () =
   Alcotest.(check (list string)) "reparsed baseline accepts its own bench" []
     (fields (Perf_gate.check ~baseline:reparsed ~bench:(bench_fixture ())))
 
-(* ---------- env-derived telemetry config ---------- *)
-
-let test_telemetry_of_env () =
-  let set k v = Unix.putenv k v in
-  set "YIELDLAB_TRACE_STREAM" "/tmp/t.jsonl";
-  set "YIELDLAB_SPAN_SAMPLE" "mc.batch=0.5";
-  set "YIELDLAB_SNAPSHOT_EVERY" "2.5";
-  let t = Config.telemetry_of_env () in
-  Alcotest.(check (option string)) "stream path" (Some "/tmp/t.jsonl")
-    t.Config.trace_stream;
-  Alcotest.(check (option string)) "sample spec" (Some "mc.batch=0.5")
-    t.Config.span_sample;
-  Alcotest.(check bool) "snapshot seconds" true
-    (t.Config.snapshot_every_s = Some 2.5);
-  set "YIELDLAB_SNAPSHOT_EVERY" "nonsense";
-  set "YIELDLAB_TRACE_STREAM" "";
-  let t = Config.telemetry_of_env () in
-  Alcotest.(check (option string)) "empty var is unset" None
-    t.Config.trace_stream;
-  Alcotest.(check bool) "malformed interval ignored" true
-    (t.Config.snapshot_every_s = None);
-  set "YIELDLAB_SPAN_SAMPLE" "";
-  set "YIELDLAB_SNAPSHOT_EVERY" "";
-  Alcotest.(check bool) "fingerprint ignores telemetry" true
-    (Config.fingerprint smoke_config
-    = Config.fingerprint
-        {
-          smoke_config with
-          Config.telemetry =
-            {
-              Config.trace_stream = Some "x.jsonl";
-              span_sample = Some "mc.batch=0";
-              snapshot_every_s = Some 1.;
-            };
-        })
-
 let suites =
   [
     ( "telemetry.stream",
       [
-        Alcotest.test_case "flow: bounded window, complete log" `Slow
-          test_flow_stream_bounded_and_complete;
-        Alcotest.test_case "stream matches exit sink" `Quick
-          test_stream_matches_exit_sink;
+        Alcotest.test_case "flow: every span traced" `Slow
+          test_flow_trace_complete;
         Alcotest.test_case "snapshot deltas" `Quick test_snapshot_deltas;
-      ] );
-    ( "telemetry.sampling",
-      [
-        Alcotest.test_case "jobs-independent decisions" `Quick
-          test_sampling_identical_across_jobs;
       ] );
     ( "telemetry.perf-gate",
       [
@@ -404,6 +279,4 @@ let suites =
         Alcotest.test_case "run identity" `Quick test_gate_run_identity;
         Alcotest.test_case "baseline shape" `Quick test_baseline_of_bench_shape;
       ] );
-    ( "telemetry.config",
-      [ Alcotest.test_case "env knobs" `Quick test_telemetry_of_env ] );
   ]
