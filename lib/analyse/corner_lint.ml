@@ -553,9 +553,10 @@ let axis_data ~k ~spec ~slice ~moses ~x =
    x0 + S dp + K(U) encloses them all. *)
 let krawczyk circuit layout ~models ~lin ~moses ~k ~spec ~slice ~x0 =
   let n = Mna.size layout in
-  (* Y = J(x0)^-1 column by column through a dense workspace: the same
-     Lu.factor / Lu.solve on the same assembled Jacobian.  Its stamps are
-     also teed into [gmat], the J0 that E0 below needs entrywise *)
+  (* Y = J(x0)^-1 column by column through a dense workspace, the same
+     real LU the Newton loop runs on the same assembled Jacobian.  Its
+     stamps are also teed into [gmat], the J0 that E0 below needs
+     entrywise *)
   let gmat = Mat.create n n in
   let dense = Linsys.real n in
   let ws =

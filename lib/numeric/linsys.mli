@@ -2,20 +2,21 @@
 
     Every engine assembles and solves its MNA system through a small
     record of closures: {!type-real} for DC / transient Newton systems,
-    {!type-complex_sys} for AC systems of the form [G + jwC].  The
-    workspaces are dense: they wrap {!Mat}/{!Lu}/{!Cmat} with exactly the
-    operation sequence the engines used before the records existed, so
-    results are byte-identical to the historical direct calls.
+    {!type-complex_sys} for AC systems of the form [G + jwC].  A workspace
+    owns flat float arrays for its assembled matrices, its LU work copy,
+    pivots and solve vectors, allocated once by {!val-real} /
+    {!val-complex}; factorisation and solves run in place over them, so
+    the only per-solve allocation is the returned solution.
 
-    A workspace is mutable: allocate one per worker with {!val-real} /
-    {!val-complex}. *)
+    A workspace is mutable: allocate one per worker. *)
 
 type real = {
   reset : unit -> unit;  (** zero the assembled values *)
   add : int -> int -> float -> unit;  (** accumulate an entry *)
   solve : float array -> float array;
-      (** factor the assembled system and solve; leaves assembled values
-          intact. @raise Lu.Singular when the factorisation breaks down *)
+      (** factor the assembled system and solve into a fresh array; leaves
+          assembled values intact. @raise Lu.Singular when the
+          factorisation breaks down *)
 }
 (** Mutable workspace for one real system (DC / transient Newton step). *)
 
@@ -24,8 +25,11 @@ type complex_sys = {
   add_g : int -> int -> float -> unit;  (** accumulate into G *)
   add_c : int -> int -> float -> unit;  (** accumulate into C *)
   factor : omega:float -> Complex.t array -> Complex.t array;
-      (** factor [G + j*omega*C] once; the returned solver may be applied
-          to many right-hand sides. @raise Lu.Singular on breakdown *)
+      (** [factor ~omega] factors [G + j*omega*C] once and returns a solver
+          that may be applied to many right-hand sides, each into a fresh
+          array.  The solver reads the workspace's factors, so it is valid
+          until the next [factor] on the same workspace.
+          @raise Lu.Singular on breakdown *)
 }
 (** Mutable workspace for one complex system of the form [G + jwC]. *)
 

@@ -1,19 +1,11 @@
-(* Row-major storage in a single flat array keeps LU factorisation cache
-   friendly, which matters because the Newton loop refactorises every
-   iteration. *)
+(* Row-major storage in a single flat array, the layout the Linsys
+   workspaces use for their own matrices. *)
 
 type t = { rows : int; cols : int; data : float array }
 
 let create rows cols =
   if rows < 0 || cols < 0 then invalid_arg "Mat.create: negative dimension";
   { rows; cols; data = Array.make (rows * cols) 0. }
-
-let identity n =
-  let m = create n n in
-  for i = 0 to n - 1 do
-    m.data.((i * n) + i) <- 1.
-  done;
-  m
 
 let init rows cols f =
   let data = Array.make (rows * cols) 0. in
@@ -34,8 +26,6 @@ let of_arrays a =
     a;
   init rows cols (fun i j -> a.(i).(j))
 
-let copy m = { m with data = Array.copy m.data }
-
 let rows m = m.rows
 
 let cols m = m.cols
@@ -47,8 +37,6 @@ let set m i j x = m.data.((i * m.cols) + j) <- x
 let add_to m i j x =
   let k = (i * m.cols) + j in
   m.data.(k) <- m.data.(k) +. x
-
-let fill m x = Array.fill m.data 0 (Array.length m.data) x
 
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: dimension mismatch";
@@ -75,28 +63,3 @@ let mul_vec m v =
       !acc)
 
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
-
-let map2 f a b =
-  if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg "Mat: shape mismatch";
-  {
-    a with
-    data = Array.init (Array.length a.data) (fun k -> f a.data.(k) b.data.(k));
-  }
-
-let add a b = map2 ( +. ) a b
-
-let sub a b = map2 ( -. ) a b
-
-let scale s m = { m with data = Array.map (fun x -> s *. x) m.data }
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    if i > 0 then Format.fprintf ppf "@,";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "%10.4g" (get m i j)
-    done
-  done;
-  Format.fprintf ppf "@]"

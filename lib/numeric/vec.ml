@@ -4,20 +4,7 @@ let create n = Array.make n 0.
 
 let init = Array.init
 
-let copy = Array.copy
-
 let dim = Array.length
-
-let fill v x = Array.fill v 0 (Array.length v) x
-
-let blit ~src ~dst =
-  if Array.length src <> Array.length dst then
-    invalid_arg "Vec.blit: dimension mismatch";
-  Array.blit src 0 dst 0 (Array.length src)
-
-let add a b = Array.init (Array.length a) (fun i -> a.(i) +. b.(i))
-
-let sub a b = Array.init (Array.length a) (fun i -> a.(i) -. b.(i))
 
 let scale s a = Array.map (fun x -> s *. x) a
 
@@ -50,10 +37,6 @@ let max_abs_diff a b =
   done;
   !m
 
-let map = Array.map
-
-let mapi = Array.mapi
-
 let linspace a b n =
   if n < 2 then invalid_arg "Vec.linspace: need at least two points";
   let step = (b -. a) /. float_of_int (n - 1) in
@@ -62,12 +45,3 @@ let linspace a b n =
 let logspace a b n =
   if a <= 0. || b <= 0. then invalid_arg "Vec.logspace: bounds must be > 0";
   Array.map exp (linspace (log a) (log b) n)
-
-let pp ppf v =
-  Format.fprintf ppf "@[<hov 1>[|";
-  Array.iteri
-    (fun i x ->
-      if i > 0 then Format.fprintf ppf ";@ ";
-      Format.fprintf ppf "%g" x)
-    v;
-  Format.fprintf ppf "|]@]"

@@ -12,18 +12,7 @@ val create : int -> t
 
 val init : int -> (int -> float) -> t
 
-val copy : t -> t
-
 val dim : t -> int
-
-val fill : t -> float -> unit
-
-val blit : src:t -> dst:t -> unit
-(** [blit ~src ~dst] copies [src] into [dst]; dimensions must agree. *)
-
-val add : t -> t -> t
-
-val sub : t -> t -> t
 
 val scale : float -> t -> t
 
@@ -41,10 +30,6 @@ val norm_inf : t -> float
 val max_abs_diff : t -> t -> float
 (** [max_abs_diff a b] is [norm_inf (sub a b)] without the allocation. *)
 
-val map : (float -> float) -> t -> t
-
-val mapi : (int -> float -> float) -> t -> t
-
 val linspace : float -> float -> int -> t
 (** [linspace a b n] is [n >= 2] evenly spaced points from [a] to [b]
     inclusive.  @raise Invalid_argument if [n < 2]. *)
@@ -52,5 +37,3 @@ val linspace : float -> float -> int -> t
 val logspace : float -> float -> int -> t
 (** [logspace a b n] is [n] points spaced evenly on a log scale from [a] to
     [b]; both must be strictly positive.  @raise Invalid_argument otherwise. *)
-
-val pp : Format.formatter -> t -> unit

@@ -84,8 +84,8 @@ let newton_loop (rs : Linsys.real) ~n_nodes ~max_iterations ~vtol ~max_step
   iterate 0
 
 (* One damped-Newton run at fixed gmin and source scaling.  [rs] is the
-   solver workspace reused across iterations (a dense workspace reproduces
-   the historical fresh-matrix-per-iteration path byte-for-byte). *)
+   solver workspace reused across iterations: each iteration re-assembles
+   and refactors it in place. *)
 let newton rs ?models circuit layout options ~source_scale ~gmin ~x0 =
   newton_loop rs ~n_nodes:(Mna.n_nodes layout)
     ~max_iterations:options.max_iterations ~vtol:options.vtol

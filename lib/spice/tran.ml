@@ -75,8 +75,8 @@ let run ?sys ?models options circuit =
     match sys with Some l -> l | None -> Mna.layout circuit
   in
   let devices = Circuit.devices circuit in
-  (* one numeric workspace reused across all steps and Newton iterations;
-     it reproduces the historical fresh-matrix path byte-for-byte *)
+  (* one numeric workspace reused across all steps and Newton
+     iterations *)
   let rs = Linsys.real (Mna.size layout) in
   match Dcop.solve ?sys ?models (initial_circuit circuit) with
   | Error e -> Error (Dc_failed e)

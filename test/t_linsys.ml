@@ -1,9 +1,9 @@
-(* Tests for the Linsys workspaces: the dense real workspace against the
-   direct Mat/Lu calls it wraps, singular systems, and byte-identity of the
+(* Tests for the Linsys workspaces: singular systems, byte-identity of the
    Variation.overrides patching path against full circuit rebuilds
-   (Variation.apply_overrides, the test oracle). *)
+   (Variation.apply_overrides, the test oracle), and an allocation
+   tripwire on the AC sweep and the DC solve.  The workspaces' bit-exact
+   arithmetic is pinned in t_pins.ml. *)
 
-module Mat = Yield_numeric.Mat
 module Lu = Yield_numeric.Lu
 module Linsys = Yield_numeric.Linsys
 
@@ -26,28 +26,6 @@ let test_numeric_singular () =
   match sys.Linsys.solve [| 1.; 2. |] with
   | exception Lu.Singular _ -> ()
   | _ -> Alcotest.fail "expected Singular for rank-deficient values"
-
-let test_real_matches_mat () =
-  let n = 4 in
-  let st = Random.State.make [| 42 |] in
-  let m = Mat.create n n in
-  let sys = Linsys.real n in
-  sys.Linsys.reset ();
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let v =
-        if i = j then 5. +. Random.State.float st 1.
-        else Random.State.float st 2. -. 1.
-      in
-      Mat.set m i j v;
-      sys.Linsys.add i j v
-    done
-  done;
-  let b = Array.init n float_of_int in
-  let expect = Lu.solve (Lu.factor m) b in
-  let got = sys.Linsys.solve b in
-  Alcotest.(check bool) "byte-identical to Mat/Lu" true
-    (Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) expect got)
 
 (* ---------- sampled evaluation vs the rebuild oracle ---------- *)
 
@@ -146,6 +124,49 @@ let test_with_draw_bit_identical () =
       (Miller_tb.evaluate_with_draw ~spec ~draw miller)
   done
 
+(* ---------- allocation tripwire ---------- *)
+
+module Circuit = Yield_spice.Circuit
+
+(* the dense kernels work in place on the workspace's own arrays: what an
+   AC sweep still allocates is each point's solution vector and its
+   Complex.t records (about 81 words per point on this testbench), and a
+   DC solve its per-iteration solutions and device evaluations (about
+   17,850 words).  A per-point matrix copy or boxed per-element reads in
+   the factorisation (1,268 words per point and 37,890 words per DC solve
+   when the kernels went through Mat/Cmat) fail these bounds *)
+let ac_words_per_point_max = 128.
+
+let dcop_words_max = 22_300.
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  let w1 = Gc.minor_words () in
+  (r, w1 -. w0)
+
+let test_allocation_tripwire () =
+  let c, out = Ota_tb.build Yield_circuits.Ota.default_params in
+  let solve () =
+    match Dcop.solve c with
+    | Ok op -> op
+    | Error e -> Alcotest.fail (Dcop.error_to_string e)
+  in
+  (* warm-up: the first call resolves one-off lazy state *)
+  let op = solve () in
+  let _, dc_words = minor_words solve in
+  let freqs = Gtb.freqs_of Gtb.default_conditions in
+  let sweep () = Ac.transfer c op ~out:(Circuit.node c out) ~freqs in
+  ignore (sweep ());
+  let _, ac_words = minor_words sweep in
+  let per_point = ac_words /. float_of_int (Array.length freqs) in
+  if per_point > ac_words_per_point_max then
+    Alcotest.failf "Ac.transfer: %.1f minor words per point (bound %.0f)"
+      per_point ac_words_per_point_max;
+  if dc_words > dcop_words_max then
+    Alcotest.failf "Dcop.solve: %.0f minor words (bound %.0f)" dc_words
+      dcop_words_max
+
 let suites =
   [
     ( "linsys.kernel",
@@ -153,8 +174,6 @@ let suites =
         Alcotest.test_case "structural singular" `Quick
           test_structural_singular;
         Alcotest.test_case "numeric singular" `Quick test_numeric_singular;
-        Alcotest.test_case "real solve = Mat/Lu" `Quick
-          test_real_matches_mat;
       ] );
     ( "linsys.circuit",
       [
@@ -164,5 +183,7 @@ let suites =
           test_miller_overrides_bit_identical;
         Alcotest.test_case "with_draw bit-identical (ota, miller)" `Quick
           test_with_draw_bit_identical;
+        Alcotest.test_case "allocation tripwire (AC sweep, DC solve)" `Quick
+          test_allocation_tripwire;
       ] );
   ]

@@ -1,9 +1,11 @@
-(* Bit-exact pins: transient solutions and corner-analysis enclosure
-   endpoints compared as hex floats ([%h]), so a one-ulp drift in the MNA
-   stamp order, the Newton loop or the interval assembly fails here even
-   where the [%g] golden files cannot see it.  Any change to an expected
-   string is an output change and must be declared as one; on a mismatch
-   the message prints the whole actual array in the same layout. *)
+(* Bit-exact pins: transient solutions, corner-analysis enclosure
+   endpoints, Monte Carlo session results, output noise and seeded dense
+   solves compared as hex floats ([%h]), so a one-ulp drift in the MNA
+   stamp order, the Newton loop, the dense LU kernels or the interval
+   assembly fails here even where the [%g] golden files cannot see it.
+   Any change to an expected string is an output change and must be
+   declared as one; on a mismatch the message prints the whole actual
+   array in the same layout. *)
 
 module Circuit = Yield_spice.Circuit
 module Device = Yield_spice.Device
@@ -18,6 +20,11 @@ module Variation = Yield_process.Variation
 module Rng = Yield_stats.Rng
 module CL = Yield_analyse.Corner_lint
 module I = Yield_analyse.Interval
+module Dcop = Yield_spice.Dcop
+module Noise = Yield_spice.Noise
+module Gtb = Yield_circuits.Testbench
+module Linsys = Yield_numeric.Linsys
+module Lu = Yield_numeric.Lu
 
 let hex = Printf.sprintf "%h"
 
@@ -259,6 +266,139 @@ let test_session_samples () =
   check_hex "Miller session samples" miller_session_expected
     (session_perf_hex (Miller_tb.evaluate_in_session miller))
 
+(* ---------- Noise: several right-hand sides per factorisation ---------- *)
+
+(* output noise of the default OTA testbench over the 81-point sweep: one
+   complex factorisation per frequency, one solve per noise source, so the
+   replay of a stored factorisation onto further right-hand sides shows here *)
+let noise_expected =
+  [|
+    "81";
+    "5567ec489b6b334c56137320bce0774c";
+    "0x1.1ef4c2d7a3c02p-23";
+    "0x1.bec2ef939635dp-38";
+    "0x1.9270e6598bb6ap-67";
+  |]
+
+let test_noise_ota () =
+  let c, out = Ota_tb.build Ota.default_params in
+  match Dcop.solve c with
+  | Error e -> Alcotest.fail (Dcop.error_to_string e)
+  | Ok op ->
+      let pts =
+        Noise.output_noise c op ~out:(Circuit.node c out)
+          ~freqs:(Gtb.freqs_of Gtb.default_conditions)
+      in
+      let lines =
+        Array.to_list
+          (Array.map
+             (fun (p : Noise.point) ->
+               String.concat " "
+                 (hex p.Noise.total_v2_per_hz
+                 :: List.map
+                      (fun (co : Noise.contribution) ->
+                        co.Noise.device ^ "=" ^ hex co.Noise.psd_v2_per_hz)
+                      p.Noise.contributions))
+             pts)
+      in
+      let total i = hex pts.(i).Noise.total_v2_per_hz in
+      check_hex "OTA output noise" noise_expected
+        [|
+          string_of_int (Array.length pts);
+          digest_of lines;
+          total 0;
+          total 40;
+          total (Array.length pts - 1);
+        |]
+
+(* ---------- Linsys: seeded dense solves ---------- *)
+
+(* random 7x7 systems with about a third of the entries exactly zero and no
+   diagonal dominance, so partial pivoting swaps rows and the elimination
+   meets exactly-zero sub-diagonal entries; each real system is solved for
+   three right-hand sides and each complex factorisation (G + jwC at three
+   frequencies) is applied to three right-hand sides.  The last system of
+   each kind has an empty column, so the pivot at which the factorisation
+   gives up is pinned too *)
+let linsys_n = 7
+
+let sparse_entry st =
+  if Random.State.int st 3 = 0 then 0. else Random.State.float st 2. -. 1.
+
+let linsys_batch () =
+  let n = linsys_n in
+  let st = Random.State.make [| 2024 |] in
+  let out = ref [] in
+  let emit s = out := s :: !out in
+  let rhs () = Array.init n (fun _ -> Random.State.float st 2. -. 1.) in
+  let entry ~last j = if last && j = 4 then 0. else sparse_entry st in
+  for s = 1 to 12 do
+    let sys = Linsys.real n in
+    sys.Linsys.reset ();
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        sys.Linsys.add i j (entry ~last:(s = 12) j)
+      done
+    done;
+    for _ = 1 to 3 do
+      match sys.Linsys.solve (rhs ()) with
+      | exception Lu.Singular k -> emit (Printf.sprintf "singular %d" k)
+      | x -> Array.iter (fun v -> emit (hex v)) x
+    done
+  done;
+  for s = 1 to 6 do
+    let cs = Linsys.complex n in
+    cs.Linsys.creset ();
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        cs.Linsys.add_g i j (entry ~last:(s = 6) j);
+        cs.Linsys.add_c i j (1e-9 *. entry ~last:(s = 6) j)
+      done
+    done;
+    List.iter
+      (fun omega ->
+        (* a breakdown is pinned once per right-hand side, whether the
+           workspace reports it from [factor] or from the solve *)
+        let solve =
+          match cs.Linsys.factor ~omega with
+          | solve -> solve
+          | exception (Lu.Singular _ as e) -> fun _ -> raise e
+        in
+        for _ = 1 to 3 do
+          let b =
+            Array.init n (fun _ ->
+                { Complex.re = Random.State.float st 2. -. 1.; im = sparse_entry st })
+          in
+          match solve b with
+          | exception Lu.Singular k -> emit (Printf.sprintf "singular %d" k)
+          | x ->
+              Array.iter
+                (fun (z : Complex.t) -> emit (hex z.Complex.re ^ "," ^ hex z.Complex.im))
+                x
+        done)
+      [ 0.; 1e6; 2e9 ]
+  done;
+  List.rev !out
+
+let linsys_expected =
+  [|
+    "558";
+    "55c52b66e95138739eed6768ee87eb91";
+    "-0x1.67c0ebf4aeedfp+1";
+    "singular 4";
+  |]
+
+let test_linsys_batch () =
+  let lines = linsys_batch () in
+  let arr = Array.of_list lines in
+  check_hex "Linsys seeded solves" linsys_expected
+    [|
+      string_of_int (Array.length arr);
+      digest_of lines;
+      arr.(0);
+      arr.(Array.length arr - 1);
+    |]
+
 let suites =
   [
     ( "pins",
@@ -269,5 +409,7 @@ let suites =
         Alcotest.test_case "corner_fail enclosure %h" `Quick test_corner_fail;
         Alcotest.test_case "ota_testbench enclosure %h" `Quick test_corner_ota;
         Alcotest.test_case "MC session samples %h" `Quick test_session_samples;
+        Alcotest.test_case "OTA output noise %h" `Quick test_noise_ota;
+        Alcotest.test_case "Linsys seeded solves %h" `Quick test_linsys_batch;
       ] );
   ]
