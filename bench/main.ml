@@ -219,6 +219,12 @@ let time_benchmarks ctx =
   let variation = ctx.Experiments.config.Config.variation in
   let mc_rng = Rng.create 5 in
   let session = Tb.session params in
+  (* one Monte Carlo sample on the default OTA with a fixed draw: DC, the
+     bracket-limited sweep and extraction, no sampling *)
+  let ota_session = Tb.session Ota.default_params in
+  let ota_models =
+    Variation.overrides variation (Rng.create 5) (Tb.session_circuit ota_session)
+  in
   (* the dense real kernel every Newton iteration runs: factor + solve *)
   let sys = Linsys.real 12 in
   for i = 0 to 11 do
@@ -249,6 +255,8 @@ let time_benchmarks ctx =
                   { Filter.c1 = 30e-12; c2 = 15e-12; c3 = 0.3e-12 })));
       Test.make ~name:"lu-solve 12x12"
         (Staged.stage (fun () -> ignore (sys.Linsys.solve vec)));
+      Test.make ~name:"MC sample perf_in_session (default OTA)"
+        (Staged.stage (fun () -> ignore (Tb.perf_in_session ota_session ota_models)));
     ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in

@@ -165,7 +165,7 @@ type iop = {
   o_reversible : bool;
 }
 
-(* mirrors Mosfet.eval_forward (vds >= 0, NMOS convention) *)
+(* mirrors Mosfet.linearise's forward evaluation (vds >= 0, NMOS convention) *)
 let eval_forward_i (im : imodel) ~w ~l ~vgs ~vds ~vbs =
   let m = im.base in
   let vt = Mosfet.temperature_voltage in
@@ -344,7 +344,7 @@ let point_imodel (m : Mosfet.model) ~w:_ ~l:_ =
   }
 
 (* normalised terminal intervals and the device-convention drain current,
-   mirroring Mna.mos_linearise *)
+   mirroring Mna.set_bias and stamp_mosfet_dc *)
 let mos_iop_at (e : mos_entry) (x : I.t array) =
   let v n = if n = Device.ground then I.zero else x.(n - 1) in
   let vd = v e.e_d and vg = v e.e_g and vs = v e.e_s and vb = v e.e_b in

@@ -58,6 +58,11 @@ val bode_in_session :
 (** DC + AC sweep with the MOSFET models patched by one Monte Carlo
     sample's override array — the sampled-evaluation primitive. *)
 
+val perf_in_session : session -> Yield_spice.Mna.models -> perf option
+(** {!bode_in_session} then {!perf_of_bode}, the sweep stopped once the
+    extraction is decided ({!Testbench.perf_stop}): bit for bit the value
+    the full grid gives. *)
+
 val evaluate_in_session :
   session -> spec:Yield_process.Variation.spec -> rng:Yield_stats.Rng.t ->
   perf option

@@ -49,20 +49,48 @@ type step_perf = {
 
 let perf_of_bode conditions b =
   let gain_db = Measure.dc_gain_db b in
-  match (Measure.unity_gain_freq b, Measure.phase_margin_deg b) with
-  | Some fu, Some pm when Float.is_finite gain_db ->
-      let f3db = Option.value (Measure.f3db b) ~default:nan in
+  (* one magnitude pass serves both crossings *)
+  let xs = b.Ac.freqs and mags = Measure.magnitudes_db b in
+  match Measure.crossing ~xs ~ys:mags ~level:0. () with
+  | Some fu when Float.is_finite gain_db ->
+      let f3db =
+        Option.value
+          (Measure.crossing ~xs ~ys:mags ~level:(gain_db -. 3.) ())
+          ~default:nan
+      in
       let gain_lin = 10. ** (gain_db /. 20.) in
       let rout_est = gain_lin /. (2. *. Float.pi *. fu *. conditions.load_cap) in
       Some
         {
           gain_db;
-          phase_margin_deg = pm;
+          phase_margin_deg = Measure.phase_margin_at b fu;
           unity_gain_hz = fu;
           f3db_hz = f3db;
           rout_est;
         }
   | _ -> None
+
+(* running state of [perf_stop]: the f3db level and the last magnitude *)
+type bracket = { mutable level_3db : float; mutable last_db : float }
+
+let perf_stop () =
+  let st = { level_3db = nan; last_db = nan } in
+  let unity = ref false and f3db = ref false in
+  fun i z ->
+    (* both bracketed before this point: it is the extra one, keep it and
+       stop *)
+    if !unity && !f3db then true
+    else begin
+      let m = Measure.magnitude_db z in
+      if i = 0 then st.level_3db <- m -. 3.
+      else begin
+        (* the pairs Measure.crossing tests, in the order it scans them *)
+        if st.last_db >= 0. && m < 0. then unity := true;
+        if st.last_db >= st.level_3db && m < st.level_3db then f3db := true
+      end;
+      st.last_db <- m;
+      false
+    end
 
 let feasible conditions p =
   p.phase_margin_deg > 0. && p.unity_gain_hz >= conditions.min_unity_gain_hz
@@ -109,28 +137,36 @@ module Make (A : Amplifier.S) = struct
   let build ?(conditions = default_conditions) params =
     (build_variant conditions params Differential, "out")
 
-  let bode ?(conditions = default_conditions) params =
-    let circuit, _ = build ~conditions params in
-    match Dcop.solve_with_retry circuit with
+  (* DC + AC of a built testbench on the grid [freqs]; [stop] as in
+     Ac.transfer *)
+  let sweep ?stop ?sys ?models circuit freqs =
+    match Dcop.solve_with_retry ?sys ?models circuit with
     | Error _ -> None
-    | Ok op ->
-        Some (Ac.transfer_by_name circuit op ~out:"out" ~freqs:(freqs_of conditions))
+    | Ok op -> Some (Ac.transfer_by_name ?sys ?stop circuit op ~out:"out" ~freqs)
+
+  (* extraction on the sweep prefix that decides it: see [perf_stop] *)
+  let measured ?sys ?models conditions circuit freqs =
+    Option.bind
+      (sweep ~stop:(perf_stop ()) ?sys ?models circuit freqs)
+      (perf_of_bode conditions)
+
+  let bode ?(conditions = default_conditions) params =
+    sweep (fst (build ~conditions params)) (freqs_of conditions)
 
   let evaluate ?(conditions = default_conditions) params =
-    match bode ~conditions params with
-    | None -> None
-    | Some b -> perf_of_bode conditions b
+    measured conditions (fst (build ~conditions params)) (freqs_of conditions)
 
   (* ---------- batch-first sessions ----------
 
-     One circuit instantiation and its MNA layout per design point; each
-     sample only patches device models.  Sessions are immutable, so
-     sharing one across domains is safe. *)
+     One circuit instantiation, its MNA layout and its sweep grid per
+     design point; each sample only patches device models.  Sessions are
+     immutable, so sharing one across domains is safe. *)
 
   type session = {
     s_conditions : conditions;
     s_circuit : Circuit.t;
     s_sys : Mna.sys;
+    s_freqs : float array;
   }
 
   (* [solver] is the retired backend choice: its one value selects
@@ -142,6 +178,7 @@ module Make (A : Amplifier.S) = struct
       s_conditions = conditions;
       s_circuit = circuit;
       s_sys = Mna.layout circuit;
+      s_freqs = freqs_of conditions;
     }
 
   let session_circuit s = s.s_circuit
@@ -149,15 +186,10 @@ module Make (A : Amplifier.S) = struct
   let session_sys s = s.s_sys
 
   let bode_in_session s models =
-    match Dcop.solve_with_retry ~sys:s.s_sys ~models s.s_circuit with
-    | Error _ -> None
-    | Ok op ->
-        Some
-          (Ac.transfer_by_name ~sys:s.s_sys s.s_circuit op ~out:"out"
-             ~freqs:(freqs_of s.s_conditions))
+    sweep ~sys:s.s_sys ~models s.s_circuit s.s_freqs
 
   let perf_in_session s models =
-    Option.bind (bode_in_session s models) (perf_of_bode s.s_conditions)
+    measured ~sys:s.s_sys ~models s.s_conditions s.s_circuit s.s_freqs
 
   let evaluate_in_session s ~spec ~rng =
     perf_in_session s (Variation.overrides spec rng s.s_circuit)
@@ -173,12 +205,7 @@ module Make (A : Amplifier.S) = struct
       (Variation.overrides_with_draw no_mismatch draw rng s.s_circuit)
 
   let low_freq_gain_db conditions circuit =
-    match Dcop.solve_with_retry circuit with
-    | Error _ -> None
-    | Ok op ->
-        let freqs = [| conditions.f_lo |] in
-        let b = Ac.transfer_by_name circuit op ~out:"out" ~freqs in
-        Some (Measure.dc_gain_db b)
+    Option.map Measure.dc_gain_db (sweep circuit [| conditions.f_lo |])
 
   let cmrr_db ?(conditions = default_conditions) params =
     let adm = low_freq_gain_db conditions (build_variant conditions params Differential) in

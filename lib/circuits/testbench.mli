@@ -47,6 +47,18 @@ type step_perf = {
 val perf_of_bode : conditions -> Yield_spice.Ac.bode -> perf option
 (** [None] when the response has no unity crossing. *)
 
+val perf_stop : unit -> int -> Complex.t -> bool
+(** A fresh stop rule for {!Yield_spice.Ac.transfer}[ ~stop]: it ends
+    the sweep one point after the first downward crossings of 0 dB and of
+    [dc - 3] dB are both bracketed ([dc] being the first point's
+    magnitude).  {!perf_of_bode} reads nothing beyond that point — the
+    crossings are the first ones on any longer grid, the unwrapped phase
+    at a point depends only on the points before it, and the extra point
+    keeps the phase interpolation off the prefix's end clamp — so it
+    returns the same value, bit for bit and [None] included, on the
+    prefix as on the full grid.  When a crossing never comes the sweep
+    runs to the end.  One rule per sweep: it keeps state. *)
+
 val feasible : conditions -> perf -> bool
 (** The eq. 1 constraint set: positive phase margin and unity-gain frequency
     above the floor. *)
@@ -67,7 +79,9 @@ module Make (A : Amplifier.S) : sig
 
   val evaluate : ?conditions:conditions -> A.params -> perf option
   (** DC + AC + extraction; [None] on any failure.  The optimiser's
-      objective function. *)
+      objective function.  The sweep stops where {!perf_stop} says, so
+      this is [Option.bind (bode params) (perf_of_bode conditions)] bit
+      for bit, without solving the points past the crossings. *)
 
   type session
   (** One testbench instantiation pinned to a front point: the built
@@ -97,12 +111,18 @@ module Make (A : Amplifier.S) : sig
       [Yield_process.Variation.apply_overrides (session_circuit s) models],
       which it matches bit for bit. *)
 
+  val perf_in_session :
+    session -> Yield_spice.Mna.models -> perf option
+  (** {!bode_in_session} then {!perf_of_bode}, the sweep stopped by
+      {!perf_stop}: the same value, bit for bit, as extracting from the
+      full-grid {!bode_in_session}. *)
+
   val evaluate_in_session :
     session -> spec:Yield_process.Variation.spec ->
     rng:Yield_stats.Rng.t -> perf option
   (** One Monte Carlo sample of process variation and mismatch applied to
       every transistor: draws {!Yield_process.Variation.overrides}, then
-      {!bode_in_session} and {!perf_of_bode}. *)
+      {!perf_in_session}. *)
 
   val evaluate_with_draw :
     ?conditions:conditions -> spec:Yield_process.Variation.spec ->

@@ -7,6 +7,14 @@
    freshly boxed float.  Hence the rule for the loops below — no call into
    another module per element.
 
+   The factor and solve loops also index without bounds checks (through
+   [Unchecked], bound locally as [Array] so [a.(i)] reads unchecked there):
+   each index is built from loop counters below n, or from the recorded
+   pivots and columns, which are, and the entry points check the caller's
+   vector lengths first.  The checks were about a third of the complex
+   factor's time on the default OTA testbench.  [accumulate], which takes
+   the caller's row and column, stays checked.
+
    The arithmetic, operation order and pivot choices are those of the packed
    Doolittle LU for real systems and of the single-pass complex Gaussian
    elimination for G + jwC, so every solve is bit-for-bit reproducible; the
@@ -24,6 +32,7 @@ type complex_sys = {
   add_g : int -> int -> float -> unit;
   add_c : int -> int -> float -> unit;
   factor : omega:float -> Complex.t array -> Complex.t array;
+  solve_entry : Complex.t array -> int -> Complex.t;
 }
 
 (* pivots below these magnitudes (|p| for real, |p|^2 for complex systems)
@@ -31,6 +40,14 @@ type complex_sys = {
 let real_pivot_floor = 1e-300
 
 let complex_pivot_floor = 1e-280
+
+module Unchecked = struct
+  include Stdlib.Array
+
+  external get : 'a array -> int -> 'a = "%array_unsafe_get"
+
+  external set : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+end
 
 (* m(i,j) += v on a row-major n x n array *)
 let accumulate n m i j v =
@@ -45,6 +62,7 @@ let real n =
   let lu = Array.make nn 0. in
   let perm = Array.make n 0 in
   let decompose () =
+    let module Array = Unchecked in
     Array.blit a 0 lu 0 nn;
     for i = 0 to n - 1 do
       perm.(i) <- i
@@ -92,6 +110,7 @@ let real n =
       (fun b ->
         if Array.length b <> n then invalid_arg "Linsys.solve: dimension mismatch";
         decompose ();
+        let module Array = Unchecked in
         let x = Array.make n 0. in
         for i = 0 to n - 1 do
           x.(i) <- b.(perm.(i))
@@ -128,11 +147,28 @@ let complex n =
   let piv = Array.make n 0 and op_end = Array.make n 0 in
   let op_row = Array.make nn 0 in
   let op_fr = Array.make nn 0. and op_fi = Array.make nn 0. in
+  (* the columns right of the diagonal where row k of U is not exactly
+     zero, in increasing order: [u_col.(k*n)] to [u_col.(u_end.(k) - 1)];
+     [all_col.(j) = j] stands in for the dense column range *)
+  let u_col = Array.make nn 0 and u_end = Array.make n 0 in
+  let all_col = Array.init n Fun.id in
   let xr = Array.make n 0. and xi = Array.make n 0. in
   let decompose omega =
+    let module Array = Unchecked in
+    (* Skipping a column whose pivot-row entry is exactly zero leaves every
+       bit as the dense update would: with a finite multiplier the update
+       subtracts a signed zero, and t - (+-0) = t unless t is itself -0.
+       Assembly accumulates from +0 (+0 + -0 = +0), so G and C hold no -0,
+       and the elimination only makes a -0 out of a -0.  The one other
+       source is the product omega * c, which is +0 or non-zero when omega
+       is positive and c = 0 or the product does not underflow; otherwise
+       the whole factorisation takes the dense updates *)
+    let sparse = ref (omega > 0.) in
     for k = 0 to nn - 1 do
       re.(k) <- g.(k);
-      im.(k) <- omega *. c.(k)
+      let v = omega *. c.(k) in
+      im.(k) <- v;
+      if v = 0. && c.(k) <> 0. then sparse := false
     done;
     let ops = ref 0 in
     for k = 0 to n - 1 do
@@ -161,6 +197,15 @@ let complex n =
           im.(rp + j) <- ti
         done
       end;
+      (* row k is final from here on: record where it is not zero *)
+      let nz = ref rk in
+      for j = k + 1 to n - 1 do
+        if re.(rk + j) <> 0. || im.(rk + j) <> 0. then begin
+          u_col.(!nz) <- j;
+          incr nz
+        end
+      done;
+      u_end.(k) <- !nz;
       let pr = re.(rk + k) and pi = im.(rk + k) in
       let pmag = (pr *. pr) +. (pi *. pi) in
       for i = k + 1 to n - 1 do
@@ -170,7 +215,14 @@ let complex n =
         if ar <> 0. || ai <> 0. then begin
           let fr = ((ar *. pr) +. (ai *. pi)) /. pmag in
           let fi = ((ai *. pr) -. (ar *. pi)) /. pmag in
-          for j = k + 1 to n - 1 do
+          (* a non-finite multiplier times a zero is NaN: such a row takes
+             the dense update so the NaN lands where it always did *)
+          let skip = !sparse && Float.is_finite fr && Float.is_finite fi in
+          let cols = if skip then u_col else all_col in
+          let lo = if skip then rk else k + 1 in
+          let hi = if skip then u_end.(k) else n in
+          for q = lo to hi - 1 do
+            let j = cols.(q) in
             let ur = re.(rk + j) and ui = im.(rk + j) in
             re.(ri + j) <- re.(ri + j) -. ((fr *. ur) -. (fi *. ui));
             im.(ri + j) <- im.(ri + j) -. ((fr *. ui) +. (fi *. ur))
@@ -184,11 +236,21 @@ let complex n =
       op_end.(k) <- !ops
     done
   in
-  let substitute (b : Complex.t array) =
+  (* the solution of the last factorisation for [b], from row n-1 down to
+     row [last], into [xr]/[xi] *)
+  let substitute (b : Complex.t array) last =
     if Array.length b <> n then invalid_arg "Linsys.factor: dimension mismatch";
+    let module Array = Unchecked in
+    (* back substitution skips U's zero columns under the same argument as
+       the elimination: it holds while no partial sum is -0 (none is
+       unless [b] holds one) and every x_j already solved is finite *)
+    let sparse = ref true in
     for i = 0 to n - 1 do
-      xr.(i) <- b.(i).Complex.re;
-      xi.(i) <- b.(i).Complex.im
+      let br = b.(i).Complex.re and bi = b.(i).Complex.im in
+      xr.(i) <- br;
+      xi.(i) <- bi;
+      if (br = 0. && 1. /. br < 0.) || (bi = 0. && 1. /. bi < 0.) then
+        sparse := false
     done;
     let o = ref 0 in
     for k = 0 to n - 1 do
@@ -208,19 +270,29 @@ let complex n =
         incr o
       done
     done;
-    for i = n - 1 downto 0 do
+    for i = n - 1 downto last do
       let ri = i * n in
       let sr = ref xr.(i) and si = ref xi.(i) in
-      for j = i + 1 to n - 1 do
+      let cols = if !sparse then u_col else all_col in
+      let lo = if !sparse then ri else i + 1 in
+      let hi = if !sparse then u_end.(i) else n in
+      for q = lo to hi - 1 do
+        let j = cols.(q) in
         let ur = re.(ri + j) and ui = im.(ri + j) in
         sr := !sr -. ((ur *. xr.(j)) -. (ui *. xi.(j)));
         si := !si -. ((ur *. xi.(j)) +. (ui *. xr.(j)))
       done;
       let pr = re.(ri + i) and pi = im.(ri + i) in
       let pmag = (pr *. pr) +. (pi *. pi) in
-      xr.(i) <- ((!sr *. pr) +. (!si *. pi)) /. pmag;
-      xi.(i) <- ((!si *. pr) -. (!sr *. pi)) /. pmag
-    done;
+      let vr = ((!sr *. pr) +. (!si *. pi)) /. pmag in
+      let vi = ((!si *. pr) -. (!sr *. pi)) /. pmag in
+      xr.(i) <- vr;
+      xi.(i) <- vi;
+      if not (Float.is_finite vr && Float.is_finite vi) then sparse := false
+    done
+  in
+  let solve b =
+    substitute b 0;
     Array.init n (fun i -> { Complex.re = xr.(i); im = xi.(i) })
   in
   {
@@ -233,7 +305,12 @@ let complex n =
     factor =
       (fun ~omega ->
         decompose omega;
-        substitute);
+        solve);
+    solve_entry =
+      (fun b i ->
+        if i < 0 || i >= n then invalid_arg "Linsys.solve_entry: index";
+        substitute b i;
+        { Complex.re = xr.(i); im = xi.(i) });
   }
 
 type backend = Dense

@@ -30,6 +30,11 @@ type complex_sys = {
           array.  The solver reads the workspace's factors, so it is valid
           until the next [factor] on the same workspace.
           @raise Lu.Singular on breakdown *)
+  solve_entry : Complex.t array -> int -> Complex.t;
+      (** [solve_entry b i] is [(solve b).(i)] for the solver the last
+          [factor] returned, bit for bit, without building the solution
+          vector: back substitution stops at row [i].  The AC sweep reads
+          its one output node this way. *)
 }
 (** Mutable workspace for one complex system of the form [G + jwC]. *)
 

@@ -12,35 +12,47 @@ let fp_solve = Fault.point "ac.solve"
 (* mirror of the Dcop.solve structural pre-check: a node the AC matrix
    cannot constrain at any frequency makes [G + jwC] singular independent
    of device values, so fail loudly instead of returning the gmin-shaped
-   garbage a nearly-singular factorisation would produce *)
-let precheck circuit =
-  match Topology.ac_issues circuit with
+   garbage a nearly-singular factorisation would produce.  The layout
+   found the issues when it was built from this circuit *)
+let precheck layout circuit =
+  match Mna.ac_issues layout circuit with
   | [] -> ()
   | issue :: _ -> raise (Singular (Topology.issue_to_string issue))
 
-let transfer ?sys circuit op ~out ~freqs =
+let never _ _ = false
+
+let transfer ?sys ?(stop = never) circuit op ~out ~freqs =
   if Fault.fire fp_solve then
     { freqs; response = Array.map (fun _ -> Complex.{ re = nan; im = nan }) freqs }
   else begin
-    precheck circuit;
     let layout = Option.value sys ~default:op.Dcop.layout in
+    precheck layout circuit;
     let cs = Linsys.complex (Mna.size layout) in
     let ops name = Dcop.mos_op op name in
     let rhs = Mna.assemble_ac cs circuit layout ~ops in
-    let response =
-      Array.map
-        (fun freq ->
-          let omega = 2. *. Float.pi *. freq in
-          let solve = cs.Linsys.factor ~omega in
-          let x = solve rhs in
-          if out = Device.ground then Complex.zero else x.(out - 1))
-        freqs
+    let n = Array.length freqs in
+    let response = Array.make n Complex.zero in
+    let rec sweep i =
+      if i >= n then n
+      else begin
+        let omega = 2. *. Float.pi *. freqs.(i) in
+        ignore (cs.Linsys.factor ~omega : Complex.t array -> Complex.t array);
+        let z =
+          if out = Device.ground then Complex.zero
+          else cs.Linsys.solve_entry rhs (out - 1)
+        in
+        response.(i) <- z;
+        if stop i z then i + 1 else sweep (i + 1)
+      end
     in
-    { freqs; response }
+    let solved = sweep 0 in
+    if solved = n then { freqs; response }
+    else
+      { freqs = Array.sub freqs 0 solved; response = Array.sub response 0 solved }
   end
 
-let transfer_by_name ?sys circuit op ~out ~freqs =
-  transfer ?sys circuit op ~out:(Circuit.node circuit out) ~freqs
+let transfer_by_name ?sys ?stop circuit op ~out ~freqs =
+  transfer ?sys ?stop circuit op ~out:(Circuit.node circuit out) ~freqs
 
 let default_freqs ?(per_decade = 10) ~f_lo ~f_hi () =
   if f_lo <= 0. || f_hi <= f_lo then invalid_arg "Ac.default_freqs: bad range";

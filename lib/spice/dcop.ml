@@ -102,16 +102,16 @@ let initial_guess circuit layout =
   x
 
 let solve ?(options = default_options) ?x0_jitter ?sys ?models circuit =
-  match Topology.dc_issues circuit with
+  let layout =
+    match sys with Some l -> l | None -> Mna.layout circuit
+  in
+  match Mna.dc_issues layout circuit with
   | issue :: _ ->
       (* structurally singular: no gmin or homotopy can make the answer
          meaningful, so fail as Permanent before factoring anything *)
       Metrics.incr c_convergence_failures;
       Error (Singular_system (Topology.issue_to_string issue))
   | [] ->
-  let layout =
-    match sys with Some l -> l | None -> Mna.layout circuit
-  in
   (* per-call numeric workspace: the session's layout (if any) is shared
      across domains, the mutable assembly/factor state is not *)
   let rs = Linsys.real (Mna.size layout) in

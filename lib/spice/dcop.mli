@@ -47,8 +47,9 @@ val solve :
     layer uses it to perturb the starting point between attempts.
 
     Structurally singular circuits ({!Topology.dc_issues}: a node with no DC
-    path to ground, a loop of voltage sources) fail immediately with
-    [Singular_system], before any factoring — previously gmin either masked
+    path to ground, a loop of voltage sources; found once per layout, see
+    {!Mna.dc_issues}) fail immediately with [Singular_system], before any
+    factoring — previously gmin either masked
     them with a meaningless 0 V bias or burned the whole homotopy chain into
     a misclassified [No_convergence].
 

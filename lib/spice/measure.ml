@@ -61,16 +61,12 @@ let interp_at ~xs ~ys x ~log_x =
 let unity_gain_freq b =
   crossing ~xs:b.Ac.freqs ~ys:(magnitudes_db b) ~level:0. ()
 
-let phase_margin_deg b =
-  match unity_gain_freq b with
-  | None -> None
-  | Some fu ->
-      let phases = phases_deg_unwrapped b in
-      let phase_u = interp_at ~xs:b.Ac.freqs ~ys:phases fu ~log_x:true in
-      Some (180. +. phase_u)
+let phase_margin_at b fu =
+  let phases = phases_deg_unwrapped b in
+  180. +. interp_at ~xs:b.Ac.freqs ~ys:phases fu ~log_x:true
+
+let phase_margin_deg b = Option.map (phase_margin_at b) (unity_gain_freq b)
 
 let f3db b =
   let dc = dc_gain_db b in
   crossing ~xs:b.Ac.freqs ~ys:(magnitudes_db b) ~level:(dc -. 3.) ()
-
-let gain_at b f = interp_at ~xs:b.Ac.freqs ~ys:(magnitudes_db b) f ~log_x:true

@@ -22,12 +22,13 @@ val phase_margin_deg : Ac.bode -> float option
 (** [180 + phase(f_unity)] using the unwrapped phase; [None] when there is no
     unity crossing. *)
 
+val phase_margin_at : Ac.bode -> float -> float
+(** [phase_margin_at b f]: [180 + phase(f)], the unwrapped phase
+    log-interpolated at [f] and clamped to the sampled range;
+    {!phase_margin_deg} at a known unity-gain frequency. *)
+
 val f3db : Ac.bode -> float option
 (** Frequency of the first 3 dB drop below the DC gain. *)
-
-val gain_at : Ac.bode -> float -> float
-(** [gain_at bode f]: magnitude in dB, log-interpolated at frequency [f].
-    Clamps to the sampled range. *)
 
 val crossing :
   xs:float array -> ys:float array -> level:float -> ?log_x:bool -> unit ->

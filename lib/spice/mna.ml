@@ -5,12 +5,19 @@ type layout = {
   n_nodes : int;
   size : int;
   branches : (string, int) Hashtbl.t;
+  (* the device array the layout was built from, and its structural
+     issues: a session solves one circuit many times, so they are found
+     once here rather than on every solve *)
+  devices : Device.t array;
+  dc_issues : Topology.issue list;
+  ac_issues : Topology.issue list;
 }
 
 let layout circuit =
   let n_nodes = Circuit.node_count circuit in
   let branches = Hashtbl.create 8 in
   let next = ref n_nodes in
+  let devices = Circuit.devices circuit in
   Array.iter
     (fun dev ->
       match dev with
@@ -20,8 +27,25 @@ let layout circuit =
       | Device.Resistor _ | Device.Capacitor _ | Device.Isource _
       | Device.Vccs _ | Device.Mosfet _ ->
           ())
-    (Circuit.devices circuit);
-  { n_nodes; size = !next; branches }
+    devices;
+  {
+    n_nodes;
+    size = !next;
+    branches;
+    devices;
+    dc_issues = Topology.dc_issues circuit;
+    ac_issues = Topology.ac_issues circuit;
+  }
+
+(* [Circuit.devices] returns the same array until a device is added, so
+   physical equality means "this layout's circuit, unchanged since" *)
+let dc_issues l circuit =
+  if Circuit.devices circuit == l.devices then l.dc_issues
+  else Topology.dc_issues circuit
+
+let ac_issues l circuit =
+  if Circuit.devices circuit == l.devices then l.ac_issues
+  else Topology.ac_issues circuit
 
 let size l = l.size
 
@@ -29,7 +53,10 @@ let n_nodes l = l.n_nodes
 
 let branch_index l name = Hashtbl.find l.branches name
 
-let voltage x n = if n = Device.ground then 0. else x.(n - 1)
+(* [@inline] here and on the stamping helpers below: a float argument or
+   result of an out-of-line call is boxed, and these run for every device
+   of every Newton iteration *)
+let[@inline] voltage x n = if n = Device.ground then 0. else x.(n - 1)
 
 (* Per-sample model overrides: [models.(di)] replaces the MOSFET model of
    device index [di] (position in [Circuit.devices]) when set.  [None] (or
@@ -47,7 +74,7 @@ let model_override models di default =
    workspace, or the corner analysis's interval accumulator); ground rows
    and columns are skipped. *)
 
-let stamp_g add a b g =
+let[@inline] stamp_g add a b g =
   if a <> Device.ground then add (a - 1) (a - 1) g;
   if b <> Device.ground then add (b - 1) (b - 1) g;
   if a <> Device.ground && b <> Device.ground then begin
@@ -55,41 +82,35 @@ let stamp_g add a b g =
     add (b - 1) (a - 1) (-.g)
   end
 
+let[@inline] stamp_entry add row col v =
+  if row <> Device.ground && col <> Device.ground then add (row - 1) (col - 1) v
+
 (* transconductance: current [g * v(cp, cn)] leaves node [op] and enters
    node [on] *)
-let stamp_gm add op_node on_node cp cn g =
-  let entry row col sign =
-    if row <> Device.ground && col <> Device.ground then
-      add (row - 1) (col - 1) (sign *. g)
-  in
-  entry op_node cp 1.;
-  entry op_node cn (-1.);
-  entry on_node cp (-1.);
-  entry on_node cn 1.
+let[@inline] stamp_gm add op_node on_node cp cn g =
+  stamp_entry add op_node cp (1. *. g);
+  stamp_entry add op_node cn (-1. *. g);
+  stamp_entry add on_node cp (-1. *. g);
+  stamp_entry add on_node cn (1. *. g)
 
-let inject rhs node value =
+let[@inline] inject rhs node value =
   if node <> Device.ground then rhs.(node - 1) <- rhs.(node - 1) +. value
 
-(* NMOS-normalised linearisation of a MOSFET at the guess [x].  Returns the
-   operating point plus the device-convention drain current [ids_eff] (the
-   current entering the drain terminal). *)
-let mos_linearise ~model ~w ~l ~d ~g ~s ~b x =
+(* NMOS-normalised bias of a MOSFET at the guess [x], into [t] *)
+let set_bias (t : Mosfet.lin) polarity x ~d ~g ~s ~b =
   let vd = voltage x d
   and vg = voltage x g
   and vs = voltage x s
   and vb = voltage x b in
-  let vgs, vds, vbs =
-    match model.Mosfet.polarity with
-    | Mosfet.Nmos -> (vg -. vs, vd -. vs, vb -. vs)
-    | Mosfet.Pmos -> (vs -. vg, vs -. vd, vs -. vb)
-  in
-  let op = Mosfet.eval model ~w ~l ~vgs ~vds ~vbs in
-  let ids_eff =
-    match model.Mosfet.polarity with
-    | Mosfet.Nmos -> op.Mosfet.ids
-    | Mosfet.Pmos -> -.op.Mosfet.ids
-  in
-  (op, ids_eff)
+  match polarity with
+  | Mosfet.Nmos ->
+      t.Mosfet.lin_vgs <- vg -. vs;
+      t.Mosfet.lin_vds <- vd -. vs;
+      t.Mosfet.lin_vbs <- vb -. vs
+  | Mosfet.Pmos ->
+      t.Mosfet.lin_vgs <- vs -. vg;
+      t.Mosfet.lin_vds <- vs -. vd;
+      t.Mosfet.lin_vbs <- vs -. vb
 
 let stamp_conductance = stamp_g
 
@@ -109,10 +130,17 @@ let stamp_branch add l ~name ~npos ~nneg =
 
 (* Newton-linearised MOSFET around the guess [x]: the small-signal
    conductances plus the companion current that makes the linear model
-   reproduce [ids_eff] at [x] *)
-let stamp_mosfet_dc add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l =
-  let op, ids_eff = mos_linearise ~model ~w ~l ~d ~g:gate ~s ~b x in
-  let gm = op.Mosfet.gm and gds = op.Mosfet.gds and gmb = op.Mosfet.gmb in
+   reproduce the device-convention drain current [ids_eff] (the current
+   entering the drain terminal) at [x].  [t] is the assembly's scratch *)
+let stamp_mosfet_dc add rhs t ~x ~d ~g:gate ~s ~b ~model ~w ~l =
+  set_bias t model.Mosfet.polarity x ~d ~g:gate ~s ~b;
+  Mosfet.linearise model ~w ~l t;
+  let ids_eff =
+    match model.Mosfet.polarity with
+    | Mosfet.Nmos -> t.Mosfet.lin_ids
+    | Mosfet.Pmos -> -.t.Mosfet.lin_ids
+  in
+  let gm = t.Mosfet.lin_gm and gds = t.Mosfet.lin_gds and gmb = t.Mosfet.lin_gmb in
   stamp_gm add d s gate s gm;
   stamp_g add d s gds;
   stamp_gm add d s b s gmb;
@@ -136,6 +164,7 @@ let assemble_dc (rs : Linsys.real) ?models ?time ?companion circuit l ~x
   rs.Linsys.reset ();
   let add = rs.Linsys.add in
   let rhs = Vec.create l.size in
+  let lin = Mosfet.lin () in
   for i = 0 to l.n_nodes - 1 do
     add i i gmin
   done;
@@ -161,7 +190,7 @@ let assemble_dc (rs : Linsys.real) ?models ?time ?companion circuit l ~x
              d/d vs = -(gm + gds + gmb).
            (For PMOS the two sign flips cancel.) *)
         let model = model_override models di model in
-        stamp_mosfet_dc add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l:len);
+        stamp_mosfet_dc add rhs lin ~x ~d ~g:gate ~s ~b ~model ~w ~l:len);
     match companion with None -> () | Some stamp -> stamp di rhs
   in
   Array.iteri stamp_device (Circuit.devices circuit);
@@ -174,7 +203,12 @@ let mos_operating_points ?models circuit ~x =
       match dev with
       | Device.Mosfet { name; d; g; s; b; model; w; l } ->
           let model = model_override models di model in
-          let op, _ = mos_linearise ~model ~w ~l ~d ~g ~s ~b x in
+          let t = Mosfet.lin () in
+          set_bias t model.Mosfet.polarity x ~d ~g ~s ~b;
+          let op =
+            Mosfet.eval model ~w ~l ~vgs:t.Mosfet.lin_vgs ~vds:t.Mosfet.lin_vds
+              ~vbs:t.Mosfet.lin_vbs
+          in
           acc := (name, op) :: !acc
       | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
       | Device.Isource _ | Device.Vccs _ ->

@@ -7,10 +7,20 @@
 type layout
 
 val layout : Circuit.t -> layout
+(** The unknown layout of the circuit as it is now, with its structural
+    issues ({!dc_issues}, {!ac_issues}) found once. *)
 
 val size : layout -> int
 
 val n_nodes : layout -> int
+
+val dc_issues : layout -> Circuit.t -> Topology.issue list
+(** [Topology.dc_issues circuit], found once when the layout was built
+    from [circuit]; for a circuit the layout was not built from (or one
+    that gained a device since) it is computed afresh. *)
+
+val ac_issues : layout -> Circuit.t -> Topology.issue list
+(** [Topology.ac_issues circuit], cached the same way. *)
 
 val branch_index : layout -> string -> int
 (** Unknown-vector index of the branch current of the named voltage source.

@@ -73,6 +73,34 @@ val eval : model -> w:float -> l:float -> vgs:float -> vds:float -> vbs:float ->
     source/drain exchange so Newton iterations may pass through reversal.
     @raise Invalid_argument for non-positive [w] or [l]. *)
 
+(** {1 Newton linearisation}
+
+    What a Newton iteration needs of a device — the drain current and
+    its three derivatives — without the capacitances, region or
+    saturation voltage of {!eval}, and without allocating: the caller
+    owns one {!lin} and reuses it for every device. *)
+
+type lin = {
+  mutable lin_vgs : float;  (** bias in: source-referenced, NMOS convention *)
+  mutable lin_vds : float;
+  mutable lin_vbs : float;
+  mutable lin_ids : float;  (** out: the {!op} fields of the same name *)
+  mutable lin_gm : float;
+  mutable lin_gds : float;
+  mutable lin_gmb : float;
+  mutable lin_vth : float;
+}
+
+val lin : unit -> lin
+(** A fresh scratch record (all zero). *)
+
+val linearise : model -> w:float -> l:float -> lin -> unit
+(** [linearise m ~w ~l t] reads the bias from [t] and writes [ids], [gm],
+    [gds], [gmb] and [vth] into it: the same floats {!eval} returns for
+    that bias.
+    @raise Invalid_argument for non-positive [w] or [l], with {!eval}'s
+    message. *)
+
 val with_deltas : model -> dvth:float -> dkp_rel:float -> dlambda_rel:float -> model
 (** [with_deltas m ~dvth ~dkp_rel ~dlambda_rel] is [m] with threshold shifted
     by [dvth] volts, [kp] scaled by [1 + dkp_rel] and [lambda0] scaled by

@@ -96,7 +96,7 @@ let output_noise ?(flicker = default_flicker) ?sys ?models circuit op ~out
   Array.map
     (fun freq ->
       let omega = 2. *. Float.pi *. freq in
-      let solve = cs.Linsys.factor ~omega in
+      ignore (cs.Linsys.factor ~omega : Complex.t array -> Complex.t array);
       let transfer_mag2 src =
         (* unit current injected from [from_node] into [to_node] *)
         let rhs = Array.make size Complex.zero in
@@ -104,10 +104,9 @@ let output_noise ?(flicker = default_flicker) ?sys ?models circuit op ~out
           rhs.(src.from_node - 1) <- { Complex.re = -1.; im = 0. };
         if src.to_node <> Device.ground then
           rhs.(src.to_node - 1) <- { Complex.re = 1.; im = 0. };
-        let x = solve rhs in
         if out = Device.ground then 0.
         else begin
-          let z = x.(out - 1) in
+          let z = cs.Linsys.solve_entry rhs (out - 1) in
           (z.Complex.re *. z.Complex.re) +. (z.Complex.im *. z.Complex.im)
         end
       in

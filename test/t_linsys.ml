@@ -27,6 +27,142 @@ let test_numeric_singular () =
   | exception Lu.Singular _ -> ()
   | _ -> Alcotest.fail "expected Singular for rank-deficient values"
 
+(* ---------- complex factor: zero-skipping vs dense elimination ---------- *)
+
+(* The dense elimination the workspace replaced, kept as the oracle: the
+   same pivots, multipliers and operation order with every column updated.
+   [g] and [c] are the assembled (accumulated from +0) matrices *)
+let dense_complex_solve n g c ~omega (b : Complex.t array) =
+  let re = Array.map (fun v -> v) g and im = Array.map (fun v -> omega *. v) c in
+  let xr = Array.map (fun z -> z.Complex.re) b
+  and xi = Array.map (fun z -> z.Complex.im) b in
+  match
+    for k = 0 to n - 1 do
+      let rk = k * n in
+      let best = ref k
+      and best_mag = ref ((re.(rk + k) *. re.(rk + k)) +. (im.(rk + k) *. im.(rk + k))) in
+      for i = k + 1 to n - 1 do
+        let ik = (i * n) + k in
+        let mag = (re.(ik) *. re.(ik)) +. (im.(ik) *. im.(ik)) in
+        if mag > !best_mag then begin
+          best := i;
+          best_mag := mag
+        end
+      done;
+      if !best_mag < 1e-280 then raise (Lu.Singular k);
+      let p = !best in
+      if p <> k then begin
+        let rp = p * n in
+        for j = k to n - 1 do
+          let tr = re.(rk + j) and ti = im.(rk + j) in
+          re.(rk + j) <- re.(rp + j);
+          im.(rk + j) <- im.(rp + j);
+          re.(rp + j) <- tr;
+          im.(rp + j) <- ti
+        done;
+        let tr = xr.(k) and ti = xi.(k) in
+        xr.(k) <- xr.(p);
+        xi.(k) <- xi.(p);
+        xr.(p) <- tr;
+        xi.(p) <- ti
+      end;
+      let pr = re.(rk + k) and pi = im.(rk + k) in
+      let pmag = (pr *. pr) +. (pi *. pi) in
+      for i = k + 1 to n - 1 do
+        let ri = i * n in
+        let ar = re.(ri + k) and ai = im.(ri + k) in
+        if ar <> 0. || ai <> 0. then begin
+          let fr = ((ar *. pr) +. (ai *. pi)) /. pmag in
+          let fi = ((ai *. pr) -. (ar *. pi)) /. pmag in
+          for j = k + 1 to n - 1 do
+            let ur = re.(rk + j) and ui = im.(rk + j) in
+            re.(ri + j) <- re.(ri + j) -. ((fr *. ur) -. (fi *. ui));
+            im.(ri + j) <- im.(ri + j) -. ((fr *. ui) +. (fi *. ur))
+          done;
+          xr.(i) <- xr.(i) -. ((fr *. xr.(k)) -. (fi *. xi.(k)));
+          xi.(i) <- xi.(i) -. ((fr *. xi.(k)) +. (fi *. xr.(k)))
+        end
+      done
+    done
+  with
+  | exception Lu.Singular k -> Error k
+  | () ->
+      for i = n - 1 downto 0 do
+        let ri = i * n in
+        let sr = ref xr.(i) and si = ref xi.(i) in
+        for j = i + 1 to n - 1 do
+          let ur = re.(ri + j) and ui = im.(ri + j) in
+          sr := !sr -. ((ur *. xr.(j)) -. (ui *. xi.(j)));
+          si := !si -. ((ur *. xi.(j)) +. (ui *. xr.(j)))
+        done;
+        let pr = re.(ri + i) and pi = im.(ri + i) in
+        let pmag = (pr *. pr) +. (pi *. pi) in
+        xr.(i) <- ((!sr *. pr) +. (!si *. pi)) /. pmag;
+        xi.(i) <- ((!si *. pr) -. (!sr *. pi)) /. pmag
+      done;
+      Ok (Array.init n (fun i -> (xr.(i), xi.(i))))
+
+(* random sparse systems — exact zeros, negative C, omega = 0 (so omega * c
+   makes -0), a NaN or infinity now and then, right-hand sides with
+   signed zeros — solved by the workspace ([factor] and every
+   [solve_entry]) and by the dense oracle: every bit must agree, the sign
+   of every zero and every NaN included *)
+let test_complex_zero_skip () =
+  let st = Random.State.make [| 1789 |] in
+  let pick arr = arr.(Random.State.int st (Array.length arr)) in
+  let entry () =
+    match Random.State.int st 20 with
+    | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 -> 0.
+    | 8 -> pick [| nan; infinity; neg_infinity; 1e-310; -1e-310 |]
+    | _ -> Random.State.float st 2. -. 1.
+  in
+  let bits (re, im) = (Int64.bits_of_float re, Int64.bits_of_float im) in
+  for case = 1 to 3000 do
+    let n = 1 + Random.State.int st 8 in
+    let nn = n * n in
+    (* half the systems may hold a NaN or an infinity *)
+    let finite_only = Random.State.bool st in
+    let value () =
+      let v = entry () in
+      if finite_only && not (Float.is_finite v) then 0. else v
+    in
+    let gv = Array.init nn (fun _ -> value ()) in
+    let cv = Array.init nn (fun _ -> value ()) in
+    let cs = Linsys.complex n in
+    cs.Linsys.creset ();
+    Array.iteri (fun k v -> cs.Linsys.add_g (k / n) (k mod n) v) gv;
+    Array.iteri (fun k v -> cs.Linsys.add_c (k / n) (k mod n) v) cv;
+    let g = Array.map (fun v -> 0. +. v) gv and c = Array.map (fun v -> 0. +. v) cv in
+    let omega = pick [| 0.; 1e-300; 1.; 6.28e3; 2e9 |] in
+    let b =
+      Array.init n (fun _ ->
+          {
+            Complex.re = pick [| 0.; -0.; 1.; -2.5; entry () |];
+            im = pick [| 0.; -0.; 0.5; entry () |];
+          })
+    in
+    let expected = dense_complex_solve n g c ~omega b in
+    match cs.Linsys.factor ~omega with
+    | exception Lu.Singular k ->
+        if expected <> Error k then
+          Alcotest.failf "case %d: Singular %d only in the workspace" case k
+    | solve -> (
+        match expected with
+        | Error k -> Alcotest.failf "case %d: Singular %d only in the oracle" case k
+        | Ok x ->
+            let got = solve b in
+            Array.iteri
+              (fun i xi ->
+                let z = got.(i) and e = cs.Linsys.solve_entry b i in
+                if bits (z.Complex.re, z.Complex.im) <> bits xi
+                   || bits (e.Complex.re, e.Complex.im) <> bits xi
+                then
+                  Alcotest.failf
+                    "case %d (n=%d, omega=%g): x%d = %h%+hj, oracle %h%+hj"
+                    case n omega i z.Complex.re z.Complex.im (fst xi) (snd xi))
+              x)
+  done
+
 (* ---------- sampled evaluation vs the rebuild oracle ---------- *)
 
 module Dcop = Yield_spice.Dcop
@@ -128,16 +264,21 @@ let test_with_draw_bit_identical () =
 
 module Circuit = Yield_spice.Circuit
 
-(* the dense kernels work in place on the workspace's own arrays: what an
-   AC sweep still allocates is each point's solution vector and its
-   Complex.t records (about 81 words per point on this testbench), and a
-   DC solve its per-iteration solutions and device evaluations (about
-   17,850 words).  A per-point matrix copy or boxed per-element reads in
-   the factorisation (1,268 words per point and 37,890 words per DC solve
-   when the kernels went through Mat/Cmat) fail these bounds *)
-let ac_words_per_point_max = 128.
+(* Bounds at the measured levels plus about 25%.  What an AC sweep still
+   allocates is the per-sweep workspace and, per point, the boxed omega and
+   the one response value read back (23.4 words per point on this
+   testbench, amortised); a DC solve allocates each Newton iteration's
+   right-hand side and solution and the boxed values its stamps hand to the
+   workspace, plus the final operating points (4,876 words); one Monte
+   Carlo sample (DC + bracket-limited sweep + extraction) 6,142 words.
+   A per-point matrix copy (1,268 words per point before the kernels worked
+   in place), a solution vector per point (81 words), or a tuple or record
+   per device evaluation (17,850 words per DC solve) fails these *)
+let ac_words_per_point_max = 30.
 
-let dcop_words_max = 22_300.
+let dcop_words_max = 6_100.
+
+let sample_words_max = 7_700.
 
 let minor_words f =
   let w0 = Gc.minor_words () in
@@ -160,12 +301,23 @@ let test_allocation_tripwire () =
   ignore (sweep ());
   let _, ac_words = minor_words sweep in
   let per_point = ac_words /. float_of_int (Array.length freqs) in
+  let session = Ota_tb.session Yield_circuits.Ota.default_params in
+  let models =
+    Variation.overrides Variation.default_spec (Rng.create 5)
+      (Ota_tb.session_circuit session)
+  in
+  let sample () = Ota_tb.perf_in_session session models in
+  ignore (sample ());
+  let _, sample_words = minor_words sample in
   if per_point > ac_words_per_point_max then
     Alcotest.failf "Ac.transfer: %.1f minor words per point (bound %.0f)"
       per_point ac_words_per_point_max;
   if dc_words > dcop_words_max then
     Alcotest.failf "Dcop.solve: %.0f minor words (bound %.0f)" dc_words
-      dcop_words_max
+      dcop_words_max;
+  if sample_words > sample_words_max then
+    Alcotest.failf "perf_in_session: %.0f minor words (bound %.0f)"
+      sample_words sample_words_max
 
 let suites =
   [
@@ -174,6 +326,8 @@ let suites =
         Alcotest.test_case "structural singular" `Quick
           test_structural_singular;
         Alcotest.test_case "numeric singular" `Quick test_numeric_singular;
+        Alcotest.test_case "complex zero-skip = dense elimination" `Quick
+          test_complex_zero_skip;
       ] );
     ( "linsys.circuit",
       [
